@@ -7,7 +7,7 @@
    prints one table per experiment (E1..E21). A final section runs one
    Bechamel micro-benchmark per experiment.
 
-   Usage: bench/main.exe [--quick] [--only e14,e18] [--json FILE]
+   Usage: bench/main.exe [--quick] [--only e14,e19] [--json FILE]
    (--quick shrinks the sweeps; --only restricts to the named
    experiments, for calibration loops) *)
 
@@ -50,7 +50,7 @@ let json_path =
   in
   find (Array.to_list Sys.argv)
 
-(* [--only e14,e18]: restrict the run to the named experiments. *)
+(* [--only e14,e19]: restrict the run to the named experiments. *)
 let only =
   let rec find = function
     | "--only" :: names :: _ -> Some (String.split_on_char ',' names)
@@ -496,7 +496,6 @@ let e14 () =
               ("demotions", Int bs.B.demotions);
               ("convolve", Int ts.Core.Tables.convolve);
               ("convolve_small", Int ts.Core.Tables.convolve_small);
-              ("convolve_ntt", Int ts.Core.Tables.convolve_ntt);
               ("convolve_rat", Int ts.Core.Tables.convolve_rat);
               ("tree_folds", Int ts.Core.Tables.tree_folds);
               ("weighted_sums", Int ts.Core.Tables.weighted_sums);
@@ -671,160 +670,6 @@ let e15 () =
      the cost per step is essentially the cold cost (see DESIGN.md §5). *)
   run_family ~label:"churn_q_xyy_max" ~agg:Aggregate.Max
     ~sizes:(if quick then [ 40 ] else [ 60 ]);
-  List.rev !results
-
-(* E16: engine root-block parallelism. The generic Fig. 2 engine can fan
-   the blocks of the top-level root partition across Pool domains
-   (Engine.set_block_jobs); the merge preserves block order and the
-   arithmetic is exact, so results are bit-identical — checked here on
-   every row — and the report records wall time with blocks off and on. *)
-let e16 () =
-  header "E16 (engine parallelism): top-level root blocks sequential vs fanned out";
-  Printf.printf "%-24s %6s %8s %6s %10s %10s %9s %7s\n" "workload" "rows" "players"
-    "jobs" "seq" "par" "speedup" "agree";
-  let results = ref [] in
-  let emit workload rows players wall extra =
-    let open Bench_json in
-    let bs = B.stats () in
-    let ts = Core.Tables.stats () in
-    let es = Core.Engine.stats () in
-    results :=
-      Obj
-        ([ ("experiment", String "E16");
-           ("workload", String workload);
-           ("n", Int rows);
-           ("players", Int players);
-           ("wall_s", Float wall) ]
-        @ extra
-        @ [ ( "kernels",
-              Obj
-                [ ("mul_small", Int bs.B.mul_small);
-                  ("acc_mul", Int bs.B.acc_mul);
-                  ("convolve", Int ts.Core.Tables.convolve);
-                  ("engine_nodes", Int es.Core.Engine.nodes);
-                  ("engine_merges", Int es.Core.Engine.merges);
-                  ("engine_parallel_merges", Int es.Core.Engine.parallel_merges) ] ) ])
-      :: !results
-  in
-  let jobs = Stdlib.max 2 (Core.Pool.default_jobs ()) in
-  let a = Agg_query.make Aggregate.Max (vid "R" 0) Catalog.q_xyy in
-  let reset () =
-    B.reset_stats ();
-    Core.Tables.reset_stats ();
-    Core.Engine.reset_stats ()
-  in
-  List.iter
-    (fun rows ->
-      let db = xyy_db rows in
-      let players = Database.endo_size db in
-      reset ();
-      let seq, t_seq = time (fun () -> Core.Minmax.sum_k a db) in
-      emit "engine_blocks_seq" rows players t_seq [];
-      reset ();
-      Core.Engine.set_block_jobs jobs;
-      let par, t_par =
-        Fun.protect
-          ~finally:(fun () -> Core.Engine.set_block_jobs 1)
-          (fun () -> time (fun () -> Core.Minmax.sum_k a db))
-      in
-      let agree = Array.length seq = Array.length par && Array.for_all2 Q.equal seq par in
-      emit "engine_blocks_par" rows players t_par
-        [ ("block_jobs", Bench_json.Int jobs);
-          ("speedup_vs_seq", Bench_json.Float (t_seq /. Stdlib.max 1e-9 t_par)) ];
-      Printf.printf "%-24s %6d %8d %6d %9.4fs %9.4fs %8.1fx %7s\n" "max_sumk_q_xyy" rows
-        players jobs t_seq t_par
-        (t_seq /. Stdlib.max 1e-9 t_par)
-        (if agree then "ok" else "MISMATCH");
-      if not agree then failwith "E16: parallel block merge diverged from sequential")
-    (if quick then [ 60 ] else [ 200; 400 ]);
-  List.rev !results
-
-(* E18: the RNS/NTT convolution tier, before vs after. Each workload is
-   solved twice over identical inputs — once with the tier disabled
-   ([Tables.ntt_threshold := max_int], so every convolution takes the
-   classic schoolbook/Karatsuba scatter) and once with the default
-   three-tier dispatch — and the two result sets must be bit-identical:
-   the CRT magnitude bound makes the NTT tier exact, not approximate
-   (DESIGN.md §8). Speedup is classic wall over NTT wall. *)
-let e18 () =
-  header "E18 (NTT tier): classic vs RNS/NTT convolution, bit-identical";
-  Printf.printf "%-18s %6s %8s %11s %11s %9s %10s %7s\n" "workload" "rows" "players"
-    "classic" "ntt" "speedup" "ntt_convs" "agree";
-  let results = ref [] in
-  let emit workload rows players wall extra kernels =
-    let open Bench_json in
-    results :=
-      Obj
-        ([ ("experiment", String "E18");
-           ("workload", String workload);
-           ("n", Int rows);
-           ("players", Int players);
-           ("wall_s", Float wall) ]
-        @ extra @ kernels)
-      :: !results
-  in
-  let run workload sizes make_db make_agg =
-    List.iter
-      (fun rows ->
-        let db = make_db rows in
-        let a = make_agg () in
-        let players = Database.endo_size db in
-        let solve () = fst (Core.Batch.shapley_all ~jobs:1 ~cache:true a db) in
-        let saved = !Core.Tables.ntt_threshold in
-        Core.Tables.ntt_threshold := max_int;
-        B.reset_stats ();
-        Core.Tables.reset_stats ();
-        let classic, t_classic =
-          Fun.protect
-            ~finally:(fun () -> Core.Tables.ntt_threshold := saved)
-            (fun () -> time solve)
-        in
-        let bs_classic = B.stats () in
-        let ts_classic = Core.Tables.stats () in
-        B.reset_stats ();
-        Core.Tables.reset_stats ();
-        let ntt, t_ntt = time solve in
-        let bs = B.stats () in
-        let ts = Core.Tables.stats () in
-        let same =
-          List.equal
-            (fun (f1, v1) (f2, v2) -> Fact.equal f1 f2 && Q.equal v1 v2)
-            classic ntt
-        in
-        let speedup = t_classic /. Stdlib.max 1e-9 t_ntt in
-        Printf.printf "%-18s %6d %8d %10.4fs %10.4fs %8.2fx %10d %7s\n" workload rows
-          players t_classic t_ntt speedup ts.Core.Tables.convolve_ntt
-          (if same then "ok" else "MISMATCH");
-        if not same then failwith "E18: NTT and classic convolution results diverge";
-        let kernels_of bs ts =
-          [ ( "kernels",
-              Bench_json.(
-                Obj
-                  [ ("mul_schoolbook", Int bs.B.mul_schoolbook);
-                    ("mul_karatsuba", Int bs.B.mul_karatsuba);
-                    ("mul_small", Int bs.B.mul_small);
-                    ("promotions", Int bs.B.promotions);
-                    ("demotions", Int bs.B.demotions);
-                    ("convolve", Int ts.Core.Tables.convolve);
-                    ("convolve_small", Int ts.Core.Tables.convolve_small);
-                    ("convolve_ntt", Int ts.Core.Tables.convolve_ntt);
-                    ("tree_folds", Int ts.Core.Tables.tree_folds) ]) ) ]
-        in
-        emit (workload ^ ":classic") rows players t_classic []
-          (kernels_of bs_classic ts_classic);
-        emit (workload ^ ":ntt") rows players t_ntt
-          [ ("speedup_vs_classic", Bench_json.Float speedup) ]
-          (kernels_of bs ts))
-      sizes
-  in
-  run "max_q_xyy"
-    (if quick then [ 40 ] else [ 60; 120; 200 ])
-    xyy_db
-    (fun () -> Agg_query.make Aggregate.Max (vid "R" 0) Catalog.q_xyy);
-  run "dup_q1"
-    (if quick then [ 30 ] else [ 40; 100; 160 ])
-    q1_db
-    (fun () -> Agg_query.make Aggregate.Has_duplicates (vmod "R" 0) Catalog.q1_sq);
   List.rev !results
 
 (* E19: indexed storage and the compiled join planner, before vs after.
@@ -1353,8 +1198,6 @@ let () =
   let rows_of name f = if want name then f () else [] in
   let e14_rows = rows_of "e14" e14 in
   let e15_rows = rows_of "e15" e15 in
-  let e16_rows = rows_of "e16" e16 in
-  let e18_rows = rows_of "e18" e18 in
   let e19_rows = rows_of "e19" e19 in
   let e20_rows = rows_of "e20" e20 in
   let e21_rows = rows_of "e21" e21 in
@@ -1364,8 +1207,7 @@ let () =
   (match json_path with
    | Some path ->
      write_json path
-       (e14_rows @ e15_rows @ e16_rows @ e18_rows @ e19_rows @ e20_rows
-       @ e21_rows)
+       (e14_rows @ e15_rows @ e19_rows @ e20_rows @ e21_rows)
    | None -> ());
   print_newline ();
   print_endline "all experiments completed; every cross-check above reports 'ok'"

@@ -3,8 +3,8 @@
    Parse FILE and check it against the BENCH_v1 schema; exit 1 with a
    diagnostic otherwise. With [--compare], additionally gate wall-clock
    regressions against a committed baseline report: every pinned
-   experiment row of the baseline (E13–E16, E18–E21 — the deterministic
-   kernel / incremental / engine benchmarks) must be present in FILE and must
+   experiment row of the baseline (E13–E15, E19–E21 — the deterministic
+   kernel / incremental / planner benchmarks) must be present in FILE and must
    not be slower than baseline by more than the tolerance (default
    25%). A per-row delta table is always printed; E17 (server latency)
    and other unpinned rows are reported but never gate. CI runs this on
@@ -65,63 +65,20 @@ let load path =
     | Ok () -> json)
 
 (* The regression gate covers the deterministic benchmark experiments;
-   E17 latency rows (load-dependent) are informational only. E18 and
-   E19 are pinned so the convolution-tier and join-planner wins stay
-   locked in: a regression in either arm of a before/after pair shows
-   up as a slower row. E20 pins the knowledge-compilation tier the
-   same way, and E21 pins the solve planner's auto tier. *)
+   E17 latency rows (load-dependent) are informational only. E19 is
+   pinned so the join-planner win stays locked in: a regression in
+   either arm of the before/after pair shows up as a slower row. E20
+   pins the knowledge-compilation tier the same way, and E21 pins the
+   solve planner's auto tier. *)
 let pinned experiment =
-  List.mem experiment [ "E13"; "E14"; "E15"; "E16"; "E18"; "E19"; "E20"; "E21" ]
-
-(* Tier-selection guard, run on every report (no baseline needed): an
-   E18 ":ntt" row where the NTT tier actually fired
-   (kernels.convolve_ntt > 0) yet lost to the classic path
-   (speedup_vs_classic < 1) means the dispatch threshold selected the
-   tier where it hurts. Slow enough rows only — sub-noise-floor pairs
-   swing too much for the ratio to mean anything. *)
-let check_ntt_selection json =
-  let open Bench_json in
-  let rows = match member "results" json with Some (List rs) -> rs | _ -> [] in
-  let number = function
-    | Some (Int i) -> Some (float_of_int i)
-    | Some (Float f) -> Some f
-    | _ -> None
-  in
-  let bad =
-    List.filter
-      (fun r ->
-        match (member "experiment" r, member "workload" r) with
-        | Some (String "E18"), Some (String w)
-          when String.length w > 4
-               && String.sub w (String.length w - 4) 4 = ":ntt" -> (
-          let ntt_convs =
-            match member "kernels" r with
-            | Some k -> (match member "convolve_ntt" k with Some (Int n) -> n | _ -> 0)
-            | None -> 0
-          in
-          match (number (member "speedup_vs_classic" r), number (member "wall_s" r)) with
-          | Some speedup, Some wall ->
-            ntt_convs > 0 && wall >= noise_floor_s && speedup < 1.0
-          | _ -> false)
-        | _ -> false)
-      rows
-  in
-  List.iter
-    (fun r ->
-      match (member "workload" r, member "n" r) with
-      | Some (String w), Some (Int n) ->
-        Printf.eprintf
-          "validate: NTT tier selected where it loses: %s n=%d (speedup < 1)\n" w n
-      | _ -> ())
-    bad;
-  if bad <> [] then exit 1
+  List.mem experiment [ "E13"; "E14"; "E15"; "E19"; "E20"; "E21" ]
 
 (* Planner-overhead guard, run on every report (no baseline needed):
    an E21 ":auto" row must not run slower than 1.2x the best forced
    exact tier on the same instance — the planner's whole point is that
    picking a route costs (almost) nothing. The forced wall-clock rides
    on the auto row itself as [best_forced_s]. Sub-noise-floor pairs are
-   skipped for the same reason as above. A report that carries E21 rows
+   skipped: they swing too much for the ratio to mean anything. A report that carries E21 rows
    must also carry the ":budget" degradation row, so the
    abort-and-fall-back path stays exercised in every baseline. *)
 let check_auto_planner json =
@@ -183,7 +140,7 @@ let compare_reports ~tolerance ~base_path baseline current =
     List.find_opt (fun r -> row_key r = key) cur_rows
   in
   Printf.printf "\nregression gate: vs %s, tolerance %+.0f%% on pinned rows (%s)\n"
-    base_path tolerance "E13-E16, E18-E21";
+    base_path tolerance "E13-E15, E19-E21";
   Printf.printf "%-44s %10s %10s %8s  %s\n" "row" "baseline" "current" "delta" "gate";
   let failures =
     List.fold_left
@@ -246,7 +203,6 @@ let () =
   Printf.printf "validate: %s: valid %s report with %d result row%s\n" args.path
     Bench_json.schema_version count
     (if count = 1 then "" else "s");
-  check_ntt_selection json;
   check_auto_planner json;
   match args.compare with
   | None -> ()

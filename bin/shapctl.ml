@@ -159,7 +159,6 @@ let print_kernel_stats () =
       ("demotions", bs.Aggshap_arith.Bigint.demotions);
       ("convolve", ts.Aggshap_core.Tables.convolve);
       ("convolve_small", ts.Aggshap_core.Tables.convolve_small);
-      ("convolve_ntt", ts.Aggshap_core.Tables.convolve_ntt);
       ("convolve_rat", ts.Aggshap_core.Tables.convolve_rat);
       ("tree_folds", ts.Aggshap_core.Tables.tree_folds);
       ("weighted_sums", ts.Aggshap_core.Tables.weighted_sums);
@@ -167,7 +166,6 @@ let print_kernel_stats () =
       ("engine_leaves", es.Engine.leaves);
       ("engine_merges", es.Engine.merges);
       ("engine_combines", es.Engine.combines);
-      ("engine_par_merges", es.Engine.parallel_merges);
       ("plan_compiles", ps.Aggshap_cq.Plan.plan_compiles);
       ("index_builds", ds.Aggshap_relational.Database.index_builds);
       ("index_probes", ds.Aggshap_relational.Database.index_probes);
@@ -182,7 +180,7 @@ let print_kernel_stats () =
     Printf.printf "  %-18s compile %.6fs, wmc %.6fs\n" "ddnnf_time"
       ks.Aggshap_lineage.Ddnnf.compile_s ks.Aggshap_lineage.Ddnnf.wmc_s
 
-let run_solve query_s db_path agg_s tau_s fact_s fallback_s score_s jobs block_jobs cache
+let run_solve query_s db_path agg_s tau_s fact_s fallback_s score_s jobs cache
     kc_node_budget stats =
   let q = parse_query_arg query_s in
   let db = read_database db_path in
@@ -192,9 +190,6 @@ let run_solve query_s db_path agg_s tau_s fact_s fallback_s score_s jobs block_j
   let score = or_die (Api.parse_score score_s) in
   check_jobs jobs;
   check_kc_budget kc_node_budget;
-  (match block_jobs with
-   | Some b when b < 1 -> die "--block-jobs must be at least 1 (got %d)" b
-   | other -> or_die (Api.set_block_jobs other));
   if stats then begin
     Aggshap_arith.Bigint.reset_stats ();
     Aggshap_core.Tables.reset_stats ();
@@ -466,8 +461,8 @@ let run_client action session socket query_s db_path agg_s tau_s fallback_s jobs
 (* fuzz                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_fuzz seed trials max_endo jobs max_failures updates ntt_threshold legacy_eval
-    fallback_s verbose =
+let run_fuzz seed trials max_endo jobs max_failures updates legacy_eval fallback_s
+    verbose =
   if trials < 1 then die "--trials must be at least 1 (got %d)" trials;
   if max_endo < 1 then die "--max-endo must be at least 1 (got %d)" max_endo;
   check_jobs jobs;
@@ -487,14 +482,6 @@ let run_fuzz seed trials max_endo jobs max_failures updates ntt_threshold legacy
   if auto_always then
     Printf.printf
       "fuzz: planner auto mode cross-checked against naive on every trial\n%!";
-  (match ntt_threshold with
-   | None -> ()
-   | Some t ->
-     if t < 0 then die "--ntt-threshold must be non-negative (got %d)" t;
-     Aggshap_core.Tables.ntt_threshold := t;
-     Printf.printf "fuzz: NTT tier %s\n%!"
-       (if t = 0 then "forced on every convolution (differential campaign)"
-        else Printf.sprintf "threshold set to %d" t));
   if legacy_eval then begin
     Aggshap_cq.Plan.enabled := false;
     Printf.printf
@@ -603,12 +590,6 @@ let jobs_arg =
                recommended domain count of the machine; 1 disables \
                parallelism). Results are identical for every N.")
 
-let block_jobs_arg =
-  Arg.(value & opt (some int) None & info [ "block-jobs" ] ~docv:"N"
-         ~doc:"Worker domains for independent root blocks inside one \
-               decomposition-engine evaluation (default 1: sequential). \
-               Results are identical for every N; composes with --jobs.")
-
 let cache_arg =
   Arg.(value & opt bool true & info [ "cache" ] ~docv:"BOOL"
          ~doc:"Share dynamic-programming tables across the per-fact batch \
@@ -656,7 +637,7 @@ let explain_cmd =
 let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Compute Shapley values of endogenous facts")
-    Term.(const run_solve $ query_arg $ db_arg $ agg_arg $ tau_arg $ fact_arg $ fallback_arg $ score_arg $ jobs_arg $ block_jobs_arg $ cache_arg $ kc_budget_arg $ stats_arg)
+    Term.(const run_solve $ query_arg $ db_arg $ agg_arg $ tau_arg $ fact_arg $ fallback_arg $ score_arg $ jobs_arg $ cache_arg $ kc_budget_arg $ stats_arg)
 
 let updates_file_arg =
   Arg.(required & opt (some string) None & info [ "u"; "updates" ] ~docv:"FILE"
@@ -799,13 +780,6 @@ let fuzz_fallback_arg =
                cross-check the solve planner's pick against naive \
                enumeration on every trial.")
 
-let ntt_threshold_arg =
-  Arg.(value & opt (some int) None & info [ "ntt-threshold" ] ~docv:"L"
-         ~doc:"Override the RNS/NTT convolution tier threshold for the \
-               campaign. $(b,0) forces the tier on every convolution \
-               (cost model bypassed) so fuzz-sized tables exercise the \
-               transform differentially against the naive oracle.")
-
 let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
@@ -813,7 +787,7 @@ let fuzz_cmd =
              databases, cross-validating the polynomial DPs against naive \
              enumeration, the Shapley axioms, and every engine \
              configuration; failures are shrunk to a minimal reproducer.")
-    Term.(const run_fuzz $ seed_arg $ trials_arg $ max_endo_arg $ jobs_arg $ max_failures_arg $ updates_flag_arg $ ntt_threshold_arg $ legacy_eval_arg $ fuzz_fallback_arg $ verbose_arg)
+    Term.(const run_fuzz $ seed_arg $ trials_arg $ max_endo_arg $ jobs_arg $ max_failures_arg $ updates_flag_arg $ legacy_eval_arg $ fuzz_fallback_arg $ verbose_arg)
 
 let main_cmd =
   Cmd.group

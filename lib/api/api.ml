@@ -279,13 +279,6 @@ let explanation_to_json (a : Agg_query.t) (ex : explanation) =
 
 let eval a db = trap (fun () -> Agg_query.eval a db)
 
-let set_block_jobs = function
-  | None -> Ok ()
-  | Some b when b >= 1 ->
-    Engine.set_block_jobs b;
-    Ok ()
-  | Some b -> Error (Printf.sprintf "block-jobs must be at least 1 (got %d)" b)
-
 type solve_result = {
   values : (Fact.t * Solver.outcome) list;
   report : Solver.report option;  (** [None] for Banzhaf (no report attached) *)

@@ -787,36 +787,6 @@ let to_float = function
     let m = Array.fold_right (fun limb acc -> (acc *. basef) +. float_of_int limb) b.mag 0.0 in
     float_of_int b.sign *. m
 
-(* Number of bits in |t|: 0 for zero, otherwise the position of the
-   highest set bit plus one. O(1): limb count plus the top limb's
-   width. *)
-let word_bits n =
-  let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + 1) in
-  go n 0
-
-let bit_length = function
-  | Small 0 -> 0
-  | Small n -> word_bits (if n < 0 then -n else n)
-  | Big b ->
-    let l = Array.length b.mag in
-    ((l - 1) * limb_bits) + word_bits (b.mag.(l - 1))
-
-(* Remainder modulo a native [m], allocation-free: a Horner fold over
-   the limbs. Each step keeps [r < m < 2^32], so [r lsl 30 lor limb]
-   stays below 2^62. Result has the sign of [t] (truncated division),
-   matching [rem t (of_int m)]. *)
-let rem_int t m =
-  if m <= 0 || m >= mul_int_bound then
-    invalid_arg "Bigint.rem_int: modulus must be in [1, 2^32)";
-  match t with
-  | Small x -> x mod m
-  | Big b ->
-    let r = ref 0 in
-    for i = Array.length b.mag - 1 downto 0 do
-      r := ((!r lsl limb_bits) lor b.mag.(i)) mod m
-    done;
-    b.sign * !r
-
 let chunk_base = 1_000_000_000
 let chunk_digits = 9
 

@@ -145,13 +145,6 @@ val mul_int : t -> int -> t
 
 val add_int : t -> int -> t
 
-val rem_int : t -> int -> int
-(** [rem_int t m] for [1 <= m < 2^32] is [to_int_exn (rem t (of_int m))]
-    computed allocation-free by a Horner fold over the limbs (truncated
-    semantics: the result carries the sign of [t]). This is the residue
-    extraction primitive of the RNS/NTT convolution tier.
-    @raise Invalid_argument if [m] is outside [1, 2^32). *)
-
 val pow : t -> int -> t
 (** [pow b e] for [e >= 0], squaring via {!sqr}.
     @raise Invalid_argument on negative exponent. *)
@@ -169,11 +162,6 @@ val gcd_euclid : t -> t -> t
 val lcm : t -> t -> t
 (** Least common multiple; always non-negative; zero if either argument
     is zero. *)
-
-val bit_length : t -> int
-(** Number of bits in [|t|]: [0] for zero, otherwise the index of the
-    highest set bit plus one ([bit_length t = ceil (log2 (|t| + 1))]).
-    O(1). Used for the RNS magnitude bound. *)
 
 (** {1 Multiply-accumulate}
 

@@ -9,7 +9,6 @@ type stats = {
   leaves : int;
   merges : int;
   combines : int;
-  parallel_merges : int;
 }
 
 (* Plain mutable counters, same caveat as [Tables.stats]: approximate
@@ -18,25 +17,18 @@ let c_nodes = ref 0
 let c_leaves = ref 0
 let c_merges = ref 0
 let c_combines = ref 0
-let c_parallel = ref 0
 
 let stats () =
   { nodes = !c_nodes;
     leaves = !c_leaves;
     merges = !c_merges;
-    combines = !c_combines;
-    parallel_merges = !c_parallel }
+    combines = !c_combines }
 
 let reset_stats () =
   c_nodes := 0;
   c_leaves := 0;
   c_merges := 0;
-  c_combines := 0;
-  c_parallel := 0
-
-let block_jobs_ref = ref 1
-let set_block_jobs j = block_jobs_ref := Stdlib.max 1 j
-let block_jobs () = !block_jobs_ref
+  c_combines := 0
 
 (* The partition step shared by every engine instance. [`Block_drop]
    demotes the last block (when there are at least two) to null-player
@@ -123,15 +115,12 @@ module type TABLE_ALGEBRA = sig
 end
 
 module Make (A : TABLE_ALGEBRA) = struct
-  (* [par] is true only for the top-level call: blocks of the top
-     partition may fan out on the pool, everything below them runs
-     sequentially in its domain (no nested spawning). *)
-  let rec go ?memo ~par ctx q db =
+  let rec eval ?memo ctx q db =
     Memo.find_or_compute memo
       ~key:(fun () -> A.memo_prefix ctx ^ Decompose.block_key q db)
-      (fun () -> go_uncached ?memo ~par ctx q db)
+      (fun () -> eval_uncached ?memo ctx q db)
 
-  and go_uncached ?memo ~par ctx q db =
+  and eval_uncached ?memo ctx q db =
     incr c_nodes;
     match A.leaf ctx q db with
     | Some t ->
@@ -140,18 +129,18 @@ module Make (A : TABLE_ALGEBRA) = struct
     | None -> begin
       match Decompose.connected_components q with
       | [] -> A.empty ctx db
-      | [ _ ] -> connected ?memo ~par ctx q db
+      | [ _ ] -> connected ?memo ctx q db
       | comps ->
         incr c_combines;
         A.combine ctx q db
           (List.map
              (fun comp ->
                let db_c, _ = Database.restrict_relations (Cq.relations comp) db in
-               (comp, db_c, fun () -> go ?memo ~par:false ctx comp db_c))
+               (comp, db_c, fun () -> eval ?memo ctx comp db_c))
              comps)
     end
 
-  and connected ?memo ~par ctx q db =
+  and connected ?memo ctx q db =
     match A.connected_leaf ctx q db with
     | Some t ->
       incr c_leaves;
@@ -169,20 +158,10 @@ module Make (A : TABLE_ALGEBRA) = struct
       incr c_merges;
       let blocks, dropped = cached_partition q root db in
       let subst = Cq.substituter q root in
-      let eval_block (v, block) =
-        (v, block, go ?memo ~par:false ctx (subst v) block)
-      in
-      let jobs = !block_jobs_ref in
       let tables =
-        if par && jobs > 1 && List.compare_length_with blocks 2 >= 0 then begin
-          incr c_parallel;
-          Pool.map ~jobs eval_block blocks
-        end
-        else List.map eval_block blocks
+        List.map (fun (v, block) -> (v, block, eval ?memo ctx (subst v) block)) blocks
       in
       A.pad ctx (Database.endo_size dropped) (A.merge ctx ~root tables)
-
-  let eval ?memo ctx q db = go ?memo ~par:true ctx q db
 
   let eval_top ?memo ctx q db =
     let db_rel, pad = Decompose.relevant_part q db in

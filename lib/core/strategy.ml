@@ -3,11 +3,11 @@
    One module enumerates every route to an answer, attaches an
    applicability predicate and a cost estimate, and ranks them into an
    explainable plan. The cost model reads only the database's O(1)
-   segment statistics; like the NTT dispatch model it is calibrated to
-   pick the empirically faster tier at the measured crossover, not to
-   predict wall-clock. All dispatch — Solver, API, CLI, server, check,
-   bench — goes through [plan], so the fallback variant type below is
-   the only definition in the repo. *)
+   segment statistics; it is calibrated to pick the empirically faster
+   tier at the measured crossover, not to predict wall-clock. All
+   dispatch — Solver, API, CLI, server, check, bench — goes through
+   [plan], so the fallback variant type below is the only definition in
+   the repo. *)
 
 module Hierarchy = Aggshap_cq.Hierarchy
 module Agg_query = Aggshap_agg.Agg_query

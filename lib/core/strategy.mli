@@ -5,10 +5,10 @@
     frontier DPs, the knowledge-compilation tier, Monte-Carlo sampling
     and naive enumeration. This module is the single place where those
     routes are enumerated, paired with an applicability predicate and a
-    cost estimate (fed by the database's O(1) segment statistics, in
-    the style of the calibrated NTT dispatch model), and ranked into an
-    explainable {!plan}: which route runs, why, and what the solver
-    degrades to when a tier aborts mid-solve (the d-DNNF node budget).
+    cost estimate (fed by the database's O(1) segment statistics), and
+    ranked into an explainable {!plan}: which route runs, why, and what
+    the solver degrades to when a tier aborts mid-solve (the d-DNNF
+    node budget).
 
     Every call site — {!Solver.shapley}{,_all}, [Aggshap_api],
     [shapctl], the SHAPWIRE [solve_query]/[explain] ops, the check

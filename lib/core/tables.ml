@@ -1,7 +1,6 @@
 module B = Aggshap_arith.Bigint
 module Q = Aggshap_arith.Rational
 module C = Aggshap_arith.Combinat
-module N = Aggshap_arith.Ntt
 
 type counts = B.t array
 
@@ -18,7 +17,6 @@ type stats = {
    concurrent domains. *)
 let c_convolve = Atomic.make 0
 let c_convolve_small = Atomic.make 0
-let c_convolve_ntt = Atomic.make 0
 let c_convolve_rat = Atomic.make 0
 let c_tree_folds = Atomic.make 0
 let c_weighted_sums = Atomic.make 0
@@ -26,7 +24,7 @@ let c_weighted_sums = Atomic.make 0
 let stats () =
   { convolve = Atomic.get c_convolve;
     convolve_small = Atomic.get c_convolve_small;
-    convolve_ntt = Atomic.get c_convolve_ntt;
+    convolve_ntt = 0;
     convolve_rat = Atomic.get c_convolve_rat;
     tree_folds = Atomic.get c_tree_folds;
     weighted_sums = Atomic.get c_weighted_sums }
@@ -34,7 +32,6 @@ let stats () =
 let reset_stats () =
   Atomic.set c_convolve 0;
   Atomic.set c_convolve_small 0;
-  Atomic.set c_convolve_ntt 0;
   Atomic.set c_convolve_rat 0;
   Atomic.set c_tree_folds 0;
   Atomic.set c_weighted_sums 0
@@ -72,25 +69,21 @@ type fault =
   | `Karatsuba_split
   | `Stale_block
   | `Block_drop
-  | `Ntt_prime_drop
   | `Stale_index
   | `Ddnnf_cache_poison
   | `Kc_budget_leak ]
 
 let fault : fault ref = ref `None
 
-(* [`Karatsuba_split] and [`Ntt_prime_drop] live in the arithmetic
-   layer (the first must corrupt the multiplications of every caller,
-   the second the CRT reconstruction inside [Ntt]), [`Stale_index]
-   in the relational storage layer (index maintenance skipped on
-   updates), and [`Ddnnf_cache_poison] / [`Kc_budget_leak] in the
+(* [`Karatsuba_split] lives in the arithmetic layer (it must corrupt
+   the multiplications of every caller), [`Stale_index] in the
+   relational storage layer (index maintenance skipped on updates),
+   and [`Ddnnf_cache_poison] / [`Kc_budget_leak] in the
    knowledge-compilation tier's circuit compiler, so the setter keeps
-   [Bigint.fault], [Ntt.fault], [Database.fault] and [Ddnnf.fault] in
-   sync. *)
+   [Bigint.fault], [Database.fault] and [Ddnnf.fault] in sync. *)
 let set_fault f =
   fault := f;
   B.fault := (match f with `Karatsuba_split -> `Karatsuba_split | _ -> `None);
-  N.fault := (match f with `Ntt_prime_drop -> `Prime_drop | _ -> `None);
   Aggshap_relational.Database.fault :=
     (match f with `Stale_index -> `Stale_index | _ -> `None);
   Aggshap_lineage.Ddnnf.fault :=
@@ -109,51 +102,12 @@ let current_fault () = !fault
    dense square ones (combining whole sub-instance tables). *)
 let acc_threshold = 8
 
-(* Minimum length (of the shorter operand) before the RNS/NTT tier is
-   even considered; below it the transform's fixed costs (prime basis,
-   residue images, CRT tables) cannot win. Exposed for tests and for
-   the bench harness to disable the tier ([:= max_int]) when measuring
-   the classic paths; [0] forces the tier on every eligible call (cost
-   model bypassed — the differential fuzz campaigns use this to drive
-   fuzz-sized tables through the transform). *)
-let ntt_threshold = ref 24
-
 let count_nonzero a =
   let c = ref 0 in
   Array.iter (fun x -> if not (B.is_zero x) then incr c) a;
   !c
 
-(* Cost model for the third tier, in rough limb-multiplication units:
-   the classic paths pay one limb-level schoolbook product per live
-   term pair, the NTT pays 3 transforms + pointwise products per
-   prime, a Horner residue fold per input entry, and an O(np^2) Garner
-   reconstruction per output entry. Modular word operations carry a
-   fudge factor (a 62-bit [mod] costs several limb multiply-adds);
-   calibrated against the E18 crossover sweep, where the earlier 6/2
-   weights proved optimistic on the mid-sized dense tables (the NTT arm
-   dipped below the classic one around 130 players). The model's
-   [classic] estimate prices the schoolbook bigint path — when every
-   product fits the small-int tier the real fallback is an order of
-   magnitude cheaper than that estimate, so such calls never take the
-   transform. *)
-let ntt_profitable ~la ~lb ~nza ~nzb ~ba ~bb =
-  let n = la + lb - 1 in
-  let lmin = Stdlib.min la lb in
-  let out_bits = ba + bb + N.ceil_log2 lmin in
-  if out_bits <= 62 then false (* the small-int tier wins outright *)
-  else begin
-    let np = (out_bits / 30) + 1 in
-    let logm = N.ceil_log2 n in
-    let m = 1 lsl logm in
-    let lim_a = (ba + 29) / 30 and lim_b = (bb + 29) / 30 in
-    let classic = nza * nzb * lim_a * lim_b in
-    let ntt_cost =
-      (np * m * logm * 7) + (n * np * np * 3) + ((la + lb) * np * (lim_a + lim_b))
-    in
-    ntt_cost < classic
-  end
-
-(* Second tier: when every entry of both tables is in the small-int
+(* First tier: when every entry of both tables is in the small-int
    representation, the whole convolution runs in the int domain — two
    flat [int array]s, native products and sums, no constructor
    dispatch, no per-term [Bigint] calls. Every product and partial sum
@@ -200,89 +154,58 @@ let convolve a b =
   Atomic.incr c_convolve;
   let la = Array.length a and lb = Array.length b in
   let n = la + lb - 1 in
-  let lmin = Stdlib.min la lb in
-  (* Tier dispatch. The RNS/NTT tier is tried first when the shapes
-     can pay for the transforms (or unconditionally under the
-     [`Ntt_prime_drop] fault, so the differential oracle exercises the
-     faulty reconstruction on fuzz-sized tables); [Ntt.convolve]
-     returning [None] (tiny output, exhausted prime supply) falls back
-     to the classic paths. *)
-  let forced =
-    ((match !fault with `Ntt_prime_drop -> true | _ -> false) || !ntt_threshold = 0)
-    && lmin >= 1 && n >= 2
-  in
-  let via_ntt =
-    if forced then N.convolve a b
-    else if lmin >= !ntt_threshold then begin
-      let nza = count_nonzero a and nzb = count_nonzero b in
-      let ba = N.max_bits a and bb = N.max_bits b in
-      if ba = 0 || bb = 0 then N.convolve a b (* all-zero: O(n) short-circuit *)
-      else if ntt_profitable ~la ~lb ~nza ~nzb ~ba ~bb then N.convolve a b
-      else None
-    end
-    else None
-  in
-  let via_small =
-    match via_ntt with
-    | Some _ -> None
-    | None -> (
+  let out =
+    (* An all-zero operand makes the product all zero whatever the
+       other side holds. [for_all] stops at the first nonzero entry, so
+       the check costs next to nothing on live tables. *)
+    if Array.for_all B.is_zero a || Array.for_all B.is_zero b then Array.make n B.zero
+    else
       match small_convolve (small_values a) (small_values b) n with
       | ints ->
         Atomic.incr c_convolve_small;
-        Some (Array.map B.of_int ints)
-      | exception Int_overflow -> None)
-  in
-  let out =
-    match via_ntt with
-    | Some out ->
-      Atomic.incr c_convolve_ntt;
-      out
-    | None ->
-    match via_small with
-    | Some out -> out
-    | None ->
-      let out = Array.make n B.zero in
-      (* Shape dispatch: the multiply-accumulate path amortizes only when
-         most term products are live. Thin operands and sparse tables (the
-         per-key tables of the keyed DPs are mostly zeros) go through the
-         zero-skipping scatter loop instead; the density scan is O(la+lb)
-         against the O(la*lb) convolution itself. *)
-      let dense =
-        lmin >= acc_threshold
-        && 2 * count_nonzero a * count_nonzero b >= la * lb
-      in
-      if not dense then
-        (* Scatter with zero skipping: sparse or thin operands. *)
-        for i = 0 to la - 1 do
-          if not (B.is_zero a.(i)) then
-            for j = 0 to lb - 1 do
-              if not (B.is_zero b.(j)) then
-                out.(i + j) <- B.add out.(i + j) (B.mul a.(i) b.(j))
-            done
-        done
-      else begin
-        (* Dense path: one multiply-accumulate buffer reused across output
-           entries — no intermediate product or partial-sum bignum is
-           allocated per term. *)
-        let acc = B.Acc.create () in
-        for k = 0 to la + lb - 2 do
-          B.Acc.clear acc;
-          let i0 = Stdlib.max 0 (k - lb + 1) and i1 = Stdlib.min (la - 1) k in
-          for i = i0 to i1 do
-            B.Acc.add_mul acc a.(i) b.(k - i)
-          done;
-          out.(k) <- B.Acc.value acc
-        done
-      end;
-      out
+        Array.map B.of_int ints
+      | exception Int_overflow ->
+        let out = Array.make n B.zero in
+        (* Shape dispatch: the multiply-accumulate path amortizes only when
+           most term products are live. Thin operands and sparse tables (the
+           per-key tables of the keyed DPs are mostly zeros) go through the
+           zero-skipping scatter loop instead; the density scan is O(la+lb)
+           against the O(la*lb) convolution itself. *)
+        let dense =
+          Stdlib.min la lb >= acc_threshold
+          && 2 * count_nonzero a * count_nonzero b >= la * lb
+        in
+        if not dense then
+          (* Scatter with zero skipping: sparse or thin operands. *)
+          for i = 0 to la - 1 do
+            if not (B.is_zero a.(i)) then
+              for j = 0 to lb - 1 do
+                if not (B.is_zero b.(j)) then
+                  out.(i + j) <- B.add out.(i + j) (B.mul a.(i) b.(j))
+              done
+          done
+        else begin
+          (* Dense path: one multiply-accumulate buffer reused across output
+             entries — no intermediate product or partial-sum bignum is
+             allocated per term. *)
+          let acc = B.Acc.create () in
+          for k = 0 to la + lb - 2 do
+            B.Acc.clear acc;
+            let i0 = Stdlib.max 0 (k - lb + 1) and i1 = Stdlib.min (la - 1) k in
+            for i = i0 to i1 do
+              B.Acc.add_mul acc a.(i) b.(k - i)
+            done;
+            out.(k) <- B.Acc.value acc
+          done
+        end;
+        out
   in
   (match !fault with
    | `Convolve_off_by_one ->
      if la > 1 && lb > 1 then
        out.(Array.length out - 1) <- B.add out.(Array.length out - 1) B.one
    | `None | `Tree_fold_skew | `Karatsuba_split | `Stale_block | `Block_drop
-   | `Ntt_prime_drop | `Stale_index | `Ddnnf_cache_poison
-   | `Kc_budget_leak -> ());
+   | `Stale_index | `Ddnnf_cache_poison | `Kc_budget_leak -> ());
   out
 
 let convolve_many ts =
@@ -321,8 +244,7 @@ let convolve_many ts =
          out.(len - 2) <- t
        end
      | `None | `Convolve_off_by_one | `Karatsuba_split | `Stale_block | `Block_drop
-     | `Ntt_prime_drop | `Stale_index | `Ddnnf_cache_poison
-     | `Kc_budget_leak -> ());
+     | `Stale_index | `Ddnnf_cache_poison | `Kc_budget_leak -> ());
     out
 
 let pad p c = if p = 0 then c else convolve c (full p)

@@ -21,7 +21,10 @@ type counts = Aggshap_arith.Bigint.t array
 type stats = {
   convolve : int;  (** pairwise convolutions (including inside folds) *)
   convolve_small : int;  (** convolutions taken by the all-native int tier *)
-  convolve_ntt : int;  (** convolutions taken by the RNS/NTT tier *)
+  convolve_ntt : int;
+      (** always [0]: the RNS/NTT tier it counted is gone. Kept only
+          because the repository benchmark reads it; it goes when the
+          per-solve trace replaces these counters (ROADMAP item 2). *)
   convolve_rat : int;  (** rational convolutions (common-denominator) *)
   tree_folds : int;  (** balanced {!convolve_many} reductions *)
   weighted_sums : int;  (** {!weighted_sum} accumulations *)
@@ -51,23 +54,14 @@ val complement : int -> counts -> counts
 val convolve : counts -> counts -> counts
 (** [convolve a b] has length [(|a|-1) + (|b|-1) + 1]; entry [k] is
     [Σ_{k1+k2=k} a.(k1) * b.(k2)] — the table of a conjunction over two
-    disjoint fact sets. Tiered dispatch (see DESIGN.md §8): shapes
-    past {!ntt_threshold} where the cost model says the transforms win
-    go through the exact RNS/NTT tier ({!Aggshap_arith.Ntt}); tables
-    whose entries all fit the small-int representation run wholly in
-    the native int domain (overflow-checked, aborting to the tier
-    below); everything else takes the classic paths — a zero-skipping
-    scatter loop for sparse/thin operands, a multiply-accumulate
-    buffer ({!Aggshap_arith.Bigint.Acc}) for dense ones. All tiers
-    produce bit-identical results. *)
-
-val ntt_threshold : int ref
-(** Minimum length of the shorter operand before the RNS/NTT tier is
-    considered (the cost model still decides per shape). The bench
-    harness sets it to [max_int] to measure the classic paths; [0]
-    forces the tier on every eligible call, cost model bypassed — the
-    differential fuzz campaigns ([shapctl fuzz --ntt-threshold 0]) use
-    this to drive fuzz-sized tables through the transform. *)
+    disjoint fact sets. Tiered dispatch (see DESIGN.md §8): an all-zero
+    operand returns the all-zero table at once; tables whose entries
+    all fit the small-int representation run wholly in the native int
+    domain (overflow-checked, aborting to the tier below); everything
+    else takes the classic paths — a zero-skipping scatter loop for
+    sparse/thin operands, a multiply-accumulate buffer
+    ({!Aggshap_arith.Bigint.Acc}) for dense ones. All tiers produce
+    bit-identical results. *)
 
 val convolve_many : counts list -> counts
 (** Balanced pairwise reduction of [convolve] over the list (neutral
@@ -83,7 +77,6 @@ type fault =
   | `Karatsuba_split
   | `Stale_block
   | `Block_drop
-  | `Ntt_prime_drop
   | `Stale_index
   | `Ddnnf_cache_poison
   | `Kc_budget_leak ]
@@ -108,10 +101,6 @@ type fault =
       blocks to null-player padding, simulating a lost hierarchy block.
       The kernels themselves ignore this variant; it corrupts every
       aggregate's DP at the decomposition layer instead.
-    - [`Ntt_prime_drop] forces {!convolve} through the RNS/NTT tier
-      (whatever the shape, so fuzz-sized tables reach it) and zeroes
-      the first CRT digit inside the reconstruction, simulating a lost
-      residue channel (see {!Aggshap_arith.Ntt.fault}).
     - [`Stale_index] makes database updates keep the parent's built
       secondary indexes instead of adjusting them (see
       {!Aggshap_relational.Database.fault}): an index built before an
@@ -138,9 +127,9 @@ type fault =
 
 val set_fault : fault -> unit
 (** Also keeps [Bigint.fault] in sync for [`Karatsuba_split],
-    [Ntt.fault] for [`Ntt_prime_drop], [Database.fault] for
-    [`Stale_index], and [Aggshap_lineage.Ddnnf.fault] for
-    [`Ddnnf_cache_poison] and [`Kc_budget_leak]. *)
+    [Database.fault] for [`Stale_index], and
+    [Aggshap_lineage.Ddnnf.fault] for [`Ddnnf_cache_poison] and
+    [`Kc_budget_leak]. *)
 
 val current_fault : unit -> fault
 

@@ -7,7 +7,7 @@
 module B = Aggshap_arith.Bigint
 module Q = Aggshap_arith.Rational
 module C = Aggshap_arith.Combinat
-module N = Aggshap_arith.Ntt
+module Tables = Aggshap_core.Tables
 
 let check_b msg expected actual =
   Alcotest.(check string) msg expected (B.to_string actual)
@@ -385,20 +385,10 @@ let small_props =
         let q, r = B.divmod (B.of_int a) (B.of_int b) in
         B.equal (B.of_int a) (B.add (B.mul q (B.of_int b)) r)
         && B.compare (B.abs r) (B.abs (B.of_int b)) < 0);
-    prop "rem_int agrees with rem" 1000
-      QCheck.(pair arb_big (int_range 1 0x7FFFFFFF))
-      (fun (a, m) ->
-        B.equal (B.of_int (B.rem_int a m)) (B.rem a (B.of_int m)));
-    prop "bit_length bounds the value" 1000 arb_big (fun a ->
-        let bl = B.bit_length a in
-        if B.is_zero a then bl = 0
-        else
-          B.compare (B.abs a) (B.pow B.two bl) < 0
-          && B.compare (B.pow B.two (bl - 1)) (B.abs a) <= 0);
   ]
 
 (* ------------------------------------------------------------------ *)
-(* RNS/NTT convolution                                                 *)
+(* Multi-limb convolution                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* Reference convolution: quadratic scatter over schoolbook products,
@@ -421,7 +411,8 @@ let table_print t =
 
 (* Tables mixing zeros, native-range entries, and multi-limb entries of
    either sign — the value profile of the lifted rational tables the
-   DPs feed through [Tables.convolve]. *)
+   DPs feed through [Tables.convolve]. Any multi-limb entry sends the
+   whole product past the small-int tier to the bignum paths. *)
 let arb_table =
   let gen_entry =
     QCheck.Gen.(
@@ -443,59 +434,56 @@ let arb_table =
   in
   QCheck.make gen ~print:table_print
 
-let ntt_convolves_exactly (a, b) =
-  QCheck.assume (Array.length a + Array.length b >= 3);
-  match N.convolve a b with
-  | None -> QCheck.Test.fail_report "NTT tier declined a feasible shape"
-  | Some out -> table_equal out (conv_reference a b)
+let convolves_exactly (a, b) = table_equal (Tables.convolve a b) (conv_reference a b)
 
-let test_ntt_adversarial_all_max () =
-  (* Every entry at the same maximal magnitude: the magnitude bound is
-     tight on every coefficient at once, so an off-by-one in the prime
-     budget or the balanced lift corrupts essentially every entry. *)
+let test_convolve_adversarial_all_max () =
+  (* Every entry at the same 900-bit magnitude, opposite signs on the
+     two sides, so every output coefficient is a long sum of equal
+     multi-limb products. The 2x64 shape takes the scatter loop, the
+     others the multiply-accumulate path. *)
   let huge = B.pred (B.pow B.two 900) in
   List.iter
     (fun (la, lb) ->
       let a = Array.make la huge and b = Array.make lb (B.neg huge) in
-      match N.convolve a b with
-      | None -> Alcotest.fail "NTT tier declined the all-max table"
-      | Some out ->
-        Alcotest.(check bool)
-          (Printf.sprintf "all-max %dx%d matches reference" la lb)
-          true
-          (table_equal out (conv_reference a b)))
+      Alcotest.(check bool)
+        (Printf.sprintf "all-max %dx%d matches reference" la lb)
+        true
+        (table_equal (Tables.convolve a b) (conv_reference a b)))
     [ (33, 33); (32, 17); (2, 64); (64, 64) ]
 
-let test_ntt_zero_and_edges () =
-  (* All-zero operand short-circuits. *)
-  (match N.convolve (Array.make 5 B.zero) (Array.make 7 B.one) with
-   | Some out ->
-     Alcotest.(check bool) "zero table convolves to zeros" true
-       (Array.for_all B.is_zero out && Array.length out = 11)
-   | None -> Alcotest.fail "NTT declined the zero table");
-  (* 1x1 output is below the tier. *)
-  Alcotest.(check bool) "1x1 declined" true
-    (N.convolve [| B.one |] [| B.two |] = None);
-  Alcotest.(check bool) "empty declined" true (N.convolve [||] [| B.one |] = None);
-  (* The prime generator really produces NTT-friendly primes. *)
-  Alcotest.(check bool) "2^21-friendly primes exist" true
-    (match N.primes_for ~order:21 ~min_bits:120 with
-     | Some basis ->
-       Array.for_all
-         (fun (p, _) -> N.is_prime p && (p - 1) mod (1 lsl 21) = 0)
-         basis
-       && Array.length basis >= 4
-     | None -> false)
+let test_convolve_zero_and_edges () =
+  (* An all-zero operand short-circuits to the zero table of the full
+     output length, on either side. *)
+  let zeros = Array.make 5 B.zero and ones = Array.make 7 B.one in
+  List.iter
+    (fun (name, a, b) ->
+      let out = Tables.convolve a b in
+      Alcotest.(check int) (name ^ ": length") 11 (Array.length out);
+      Alcotest.(check bool) (name ^ ": all zero") true (Array.for_all B.is_zero out))
+    [ ("zeros x ones", zeros, ones); ("ones x zeros", ones, zeros) ];
+  (* 1x1 output. *)
+  Alcotest.(check bool) "1x1 product" true
+    (table_equal (Tables.convolve [| B.two |] [| B.of_int 3 |]) [| B.of_int 6 |]);
+  (* [[| 1 |]] is the neutral element, on a multi-limb table too. *)
+  let big = [| B.pow B.two 200; B.neg (B.pow B.two 130); B.one |] in
+  Alcotest.(check bool) "unit table is neutral" true
+    (table_equal (Tables.convolve [| B.one |] big) big
+     && table_equal (Tables.convolve big [| B.one |]) big)
 
-let ntt_props =
-  [ prop "NTT agrees with schoolbook reference" 150
+let convolve_props =
+  [ prop "agrees with schoolbook reference" 150
       QCheck.(pair arb_table arb_table)
-      ntt_convolves_exactly;
-    prop "NTT exact on squared tables" 100 arb_table (fun a ->
-        QCheck.assume (Array.length a >= 2);
-        match N.convolve a a with
-        | None -> false
-        | Some out -> table_equal out (conv_reference a a));
+      convolves_exactly;
+    prop "exact on squared tables" 100 arb_table (fun a -> convolves_exactly (a, a));
+    prop "commutes" 100
+      QCheck.(pair arb_table arb_table)
+      (fun (a, b) -> table_equal (Tables.convolve a b) (Tables.convolve b a));
+    prop "all-zero operand gives the zero table" 100
+      QCheck.(pair arb_table (int_range 1 40))
+      (fun (a, n) ->
+        let z = Array.make n B.zero in
+        table_equal (Tables.convolve z a) (conv_reference z a)
+        && table_equal (Tables.convolve a z) (conv_reference a z));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -659,11 +647,11 @@ let () =
       ("bigint properties", bigint_props);
       ("small-int properties", small_props);
       ("kernel differentials", kernel_props);
-      ( "ntt",
+      ( "multi-limb convolution",
         Alcotest.test_case "adversarial all-max tables" `Quick
-          test_ntt_adversarial_all_max
-        :: Alcotest.test_case "zeros and edge shapes" `Quick test_ntt_zero_and_edges
-        :: ntt_props );
+          test_convolve_adversarial_all_max
+        :: Alcotest.test_case "zeros and edge shapes" `Quick test_convolve_zero_and_edges
+        :: convolve_props );
       ( "rational",
         [ Alcotest.test_case "basic" `Quick test_rational_basic;
           Alcotest.test_case "floor/ceil" `Quick test_rational_floor_ceil;

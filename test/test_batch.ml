@@ -288,9 +288,9 @@ let test_kernel_counts_jobs_stable () =
       s.B.acc_mul s.B.promotions s.B.demotions
   in
   let tstr (s : Tables.stats) =
-    Printf.sprintf "conv=%d small=%d ntt=%d rat=%d folds=%d wsum=%d" s.Tables.convolve
-      s.Tables.convolve_small s.Tables.convolve_ntt s.Tables.convolve_rat
-      s.Tables.tree_folds s.Tables.weighted_sums
+    Printf.sprintf "conv=%d small=%d rat=%d folds=%d wsum=%d" s.Tables.convolve
+      s.Tables.convolve_small s.Tables.convolve_rat s.Tables.tree_folds
+      s.Tables.weighted_sums
   in
   let total_work = ref 0 in
   List.iter
@@ -299,8 +299,8 @@ let test_kernel_counts_jobs_stable () =
       let db = Generate.random_database ~seed:7 ~config:small_config query in
       if Database.endo_size db > 0 then begin
         let solve jobs = ignore (Core.Batch.shapley_all ~jobs ~cache:false a db) in
-        (* Warm-up run: lazily built global tables (factorials, NTT
-           prime pools) must not be charged to the first measured run. *)
+        (* Warm-up run: lazily built global tables (factorials,
+           binomial rows) must not be charged to the first measured run. *)
         solve 1;
         let measure jobs =
           B.reset_stats ();

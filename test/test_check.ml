@@ -365,10 +365,9 @@ let test_stale_block_flag_is_isolated () =
   Alcotest.(check int) "clean without the fault" 0 (List.length report.Fuzz.ufailures)
 
 (* The kernel-level fault variants added with the fast arithmetic
-   paths: a mis-paired sibling in the balanced convolution tree, a
+   paths: a mis-paired sibling in the balanced convolution tree and a
    Karatsuba split that loses a cross term once both operands are large
-   enough, and a dropped CRT digit in the RNS/NTT convolution tier.
-   Each must be caught by the same oracle and shrink to a
+   enough. Each must be caught by the same oracle and shrink to a
    still-failing reproducer. *)
 let test_kernel_fault_is_caught fault trials () =
   assert (Tables.current_fault () = `None);
@@ -445,8 +444,6 @@ let () =
             (test_kernel_fault_is_caught `Tree_fold_skew 300);
           Alcotest.test_case "karatsuba split caught and shrunk" `Slow
             (test_kernel_fault_is_caught `Karatsuba_split 300);
-          Alcotest.test_case "ntt prime-drop caught and shrunk" `Slow
-            (test_kernel_fault_is_caught `Ntt_prime_drop 300);
           Alcotest.test_case "engine block-drop caught and shrunk" `Slow
             (test_kernel_fault_is_caught `Block_drop 300);
           Alcotest.test_case "storage stale-index caught and shrunk" `Slow

@@ -372,6 +372,11 @@ let test_convolve_shape name a b () =
 let dense_ramp n = Array.init n (fun i -> B.of_int (i + 1))
 let sparse_spikes n = Array.init n (fun i -> if i mod 7 = 0 then B.of_int (i + 2) else B.zero)
 
+let multi_limb n =
+  Array.init n (fun i ->
+      let v = B.pow (B.of_int 7) (40 + i) in
+      if i land 1 = 1 then B.neg v else v)
+
 let convolve_shape_cases =
   [ (* min length below the threshold: scatter, however dense. *)
     ("thin x long", dense_ramp 3, dense_ramp 20);
@@ -385,13 +390,55 @@ let convolve_shape_cases =
     ("dense asymmetric", dense_ramp 9, dense_ramp 30);
     (* degenerate shapes. *)
     ("singleton", [| B.of_int 5 |], dense_ramp 10);
-    ("all zeros", Array.make 10 B.zero, dense_ramp 10) ]
+    ("all zeros", Array.make 10 B.zero, dense_ramp 10);
+    (* the all-zero guard, against an operand that would otherwise take
+       the multi-limb bignum path. *)
+    ("all zeros x multi-limb", Array.make 30 B.zero, multi_limb 30) ]
 
 let test_convolve_many_mixed_shapes () =
   let ts = [ dense_ramp 12; sparse_spikes 16; dense_ramp 3; dense_ramp 9 ] in
   let expected = List.fold_left reference_convolve [| B.one |] ts in
   Alcotest.check counts_testable "balanced fold matches reference" expected
     (Core.Tables.convolve_many ts)
+
+(* The all-zero guard answers before any tier runs: it counts as a
+   convolution but never as a small-int one, and the
+   [`Convolve_off_by_one] hook still sees its result. *)
+let test_zero_guard_counts () =
+  let module T = Core.Tables in
+  T.reset_stats ();
+  ignore (T.convolve (Array.make 30 B.zero) (multi_limb 30));
+  ignore (T.convolve (dense_ramp 4) (Array.make 6 B.zero));
+  let s = T.stats () in
+  Alcotest.(check int) "both counted as convolutions" 2 s.T.convolve;
+  Alcotest.(check int) "neither took the small-int tier" 0 s.T.convolve_small;
+  Alcotest.(check int) "convolve_ntt stays 0" 0 s.T.convolve_ntt;
+  ignore (T.convolve (dense_ramp 4) (dense_ramp 6));
+  Alcotest.(check int) "a live small product does" 1 (T.stats ()).T.convolve_small
+
+let test_zero_guard_keeps_fault_hook () =
+  let module T = Core.Tables in
+  assert (T.current_fault () = `None);
+  T.set_fault `Convolve_off_by_one;
+  let guarded, unit_side =
+    Fun.protect
+      ~finally:(fun () -> T.set_fault `None)
+      (fun () ->
+        ( T.convolve (Array.make 5 B.zero) (dense_ramp 5),
+          T.convolve [| B.zero |] (dense_ramp 5) ))
+  in
+  let expected = Array.make 9 B.zero in
+  expected.(8) <- B.one;
+  Alcotest.check counts_testable "top entry corrupted" expected guarded;
+  Alcotest.check counts_testable "length-1 operand left alone" (Array.make 5 B.zero)
+    unit_side
+
+let test_convolve_many_zero_member () =
+  let ts = [ dense_ramp 12; Array.make 4 B.zero; multi_limb 9; sparse_spikes 16 ] in
+  let expected = List.fold_left reference_convolve [| B.one |] ts in
+  Alcotest.check counts_testable "zero member zeroes the fold" expected
+    (Core.Tables.convolve_many ts);
+  Alcotest.(check bool) "reference is all zero" true (Array.for_all B.is_zero expected)
 
 (* ------------------------------------------------------------------ *)
 
@@ -412,7 +459,12 @@ let () =
             Alcotest.test_case name `Quick (test_convolve_shape name a b))
           convolve_shape_cases
         @ [ Alcotest.test_case "convolve_many mixed shapes" `Quick
-              test_convolve_many_mixed_shapes ] );
+              test_convolve_many_mixed_shapes;
+            Alcotest.test_case "all-zero guard counters" `Quick test_zero_guard_counts;
+            Alcotest.test_case "all-zero guard keeps the fault hook" `Quick
+              test_zero_guard_keeps_fault_hook;
+            Alcotest.test_case "convolve_many with an all-zero member" `Quick
+              test_convolve_many_zero_member ] );
       ( "game",
         [ Alcotest.test_case "efficiency" `Quick test_game_efficiency;
           Alcotest.test_case "symmetry and null player" `Quick test_game_symmetry_null;

@@ -1,9 +1,9 @@
 (* The generic Fig. 2 decomposition engine: algebraic laws (qcheck) for
    the table algebra behind each engine instance, the static
-   decomposition planner, bit-identity of parallel root-block
-   evaluation, per-node statistics, and the engine-level `Block_drop
-   fault caught by the differential oracle in all six aggregate
-   families. *)
+   decomposition planner, per-fact jobs bit-identity on a multi-block
+   instance, per-node statistics, and the engine-level
+   `Block_drop fault caught by the differential oracle in all six
+   aggregate families. *)
 
 module B = Aggshap_arith.Bigint
 module Q = Aggshap_arith.Rational
@@ -232,7 +232,7 @@ let test_root_partition_conserves_facts () =
     (in_blocks + Database.endo_size dropped)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel root blocks: bit-identical, and counted                    *)
+(* Per-node statistics                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let wide_db =
@@ -240,26 +240,22 @@ let wide_db =
     [ Fact.of_ints "R" [ 1; 2 ]; Fact.of_ints "R" [ 3; 4 ]; Fact.of_ints "R" [ 5; 6 ];
       Fact.of_ints "S" [ 2 ]; Fact.of_ints "S" [ 4 ]; Fact.of_ints "S" [ 6 ] ]
 
-let test_parallel_blocks_bit_identical () =
-  Alcotest.(check int) "engine defaults to sequential blocks" 1 (Engine.block_jobs ());
+(* Per-fact [--jobs] is the parallelism that remains: on the
+   three-block instance, Max values are bit-identical across job
+   counts and equal to the one-fact-at-a-time solver. *)
+let test_per_fact_jobs_bit_identical () =
   let a = Agg_query.make Aggregate.Max (Value_fn.id ~rel:"R" ~pos:0) Catalog.q_xyy in
-  let seq = Aggshap_core.Minmax.sum_k a wide_db in
-  Engine.reset_stats ();
-  Engine.set_block_jobs 3;
-  let par =
-    Fun.protect
-      ~finally:(fun () -> Engine.set_block_jobs 1)
-      (fun () -> Aggshap_core.Minmax.sum_k a wide_db)
-  in
-  Alcotest.(check int) "same length" (Array.length seq) (Array.length par);
-  Array.iteri
-    (fun k v ->
-      Alcotest.(check string)
-        (Printf.sprintf "sum_%d identical" k)
-        (Q.to_string v) (Q.to_string par.(k)))
-    seq;
-  Alcotest.(check bool) "the top-level merge fanned out" true
-    ((Engine.stats ()).Engine.parallel_merges > 0)
+  let seq, _ = Aggshap_core.Batch.shapley_all ~jobs:1 ~cache:false a wide_db in
+  let par, _ = Aggshap_core.Batch.shapley_all ~jobs:3 ~cache:false a wide_db in
+  Alcotest.(check int) "every endogenous fact" (Database.endo_size wide_db) (List.length par);
+  List.iter2
+    (fun (f, v) (f', v') ->
+      Alcotest.(check bool) "same fact order" true (Fact.equal f f');
+      let exact = Aggshap_core.Solver.shapley_exact a wide_db f in
+      Alcotest.(check string) (Fact.to_string f ^ " jobs=3") (Q.to_string v) (Q.to_string v');
+      Alcotest.(check string) (Fact.to_string f ^ " per fact") (Q.to_string exact)
+        (Q.to_string v))
+    seq par
 
 let test_stats_counters () =
   Engine.reset_stats ();
@@ -268,8 +264,6 @@ let test_stats_counters () =
   Alcotest.(check bool) "nodes counted" true (s.Engine.nodes > 0);
   Alcotest.(check bool) "leaves counted" true (s.Engine.leaves > 0);
   Alcotest.(check bool) "merges counted" true (s.Engine.merges > 0);
-  Alcotest.(check bool) "no parallel merges by default" true
-    (s.Engine.parallel_merges = 0);
   Engine.reset_stats ();
   Alcotest.(check int) "reset clears nodes" 0 (Engine.stats ()).Engine.nodes
 
@@ -370,9 +364,9 @@ let () =
           Alcotest.test_case "root_partition conserves facts" `Quick
             test_root_partition_conserves_facts;
         ] );
-      ( "parallel blocks and stats",
-        [ Alcotest.test_case "parallel blocks bit-identical" `Quick
-            test_parallel_blocks_bit_identical;
+      ( "stats and capped counts",
+        [ Alcotest.test_case "per-fact jobs bit-identical" `Quick
+            test_per_fact_jobs_bit_identical;
           Alcotest.test_case "per-node counters" `Quick test_stats_counters;
           Alcotest.test_case "capped answer counts" `Quick test_capped_answer_counts;
         ] );

@@ -293,34 +293,6 @@ let invariant_case (name, alpha, query, tau) =
 
 let invariant_tests = List.map invariant_case invariant_families
 
-(* The same corpus replay with the RNS/NTT convolution tier forced on
-   every call (threshold 0 bypasses the dispatch cost model): the
-   fuzz-sized tables would never reach the tier under the tuned
-   threshold, so this is the differential campaign that pins the
-   transform + CRT reconstruction against the naive oracle. *)
-let ntt_forced_invariant_case (name, alpha, query, tau) =
-  Alcotest.test_case (name ^ " [NTT forced]") `Slow (fun () ->
-      let saved = !Tables.ntt_threshold in
-      Tables.ntt_threshold := 0;
-      Fun.protect
-        ~finally:(fun () -> Tables.ntt_threshold := saved)
-        (fun () ->
-          let seeds = List.filteri (fun i _ -> i < 10) (Lazy.force corpus_seeds) in
-          List.iter
-            (fun seed ->
-              let db = Generate.random_database ~seed ~config:invariant_db_config query in
-              let trial = { CheckTrial.seed; query; db; alpha; tau } in
-              match CheckOracle.run trial with
-              | None -> ()
-              | Some f ->
-                Alcotest.failf "%s [NTT forced], corpus seed %d: %s" name seed
-                  (CheckOracle.failure_to_string f))
-            seeds))
-
-let ntt_forced_invariant_tests =
-  List.map ntt_forced_invariant_case
-    (List.filteri (fun i _ -> i mod 3 = 0) invariant_families)
-
 (* The same corpus replay with the legacy evaluation stack forced on:
    the backtracking scan join instead of compiled plans, the rescanning
    partition instead of the index walk, no partition cache, and the
@@ -354,7 +326,6 @@ let () =
     [ ("bag properties", bag_props);
       ("table properties", tables_props);
       ("frontier DP invariants (fuzz corpus)", invariant_tests);
-      ("frontier DP invariants, NTT tier forced (fuzz corpus)", ntt_forced_invariant_tests);
       ( "frontier DP invariants, legacy evaluator forced (fuzz corpus)",
         legacy_forced_invariant_tests );
       ( "solver corner cases",

@@ -66,8 +66,8 @@ let load path =
 
 (* The regression gate covers the deterministic benchmark experiments;
    E17 latency rows (load-dependent) are informational only. E19 is
-   pinned so the join-planner win stays locked in: a regression in
-   either arm of the before/after pair shows up as a slower row. E20
+   pinned so the join-planner win stays locked in: a regression in the
+   indexed evaluation stack shows up as a slower ":indexed" row. E20
    pins the knowledge-compilation tier the same way, and E21 pins the
    solve planner's auto tier. *)
 let pinned experiment =

@@ -461,8 +461,7 @@ let run_client action session socket query_s db_path agg_s tau_s fallback_s jobs
 (* fuzz                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_fuzz seed trials max_endo jobs max_failures updates legacy_eval fallback_s
-    verbose =
+let run_fuzz seed trials max_endo jobs max_failures updates fallback_s verbose =
   if trials < 1 then die "--trials must be at least 1 (got %d)" trials;
   if max_endo < 1 then die "--max-endo must be at least 1 (got %d)" max_endo;
   check_jobs jobs;
@@ -482,11 +481,6 @@ let run_fuzz seed trials max_endo jobs max_failures updates legacy_eval fallback
   if auto_always then
     Printf.printf
       "fuzz: planner auto mode cross-checked against naive on every trial\n%!";
-  if legacy_eval then begin
-    Aggshap_cq.Plan.enabled := false;
-    Printf.printf
-      "fuzz: legacy scan evaluator forced (planner and indexes disabled)\n%!"
-  end;
   let module Fuzz = Aggshap_check.Fuzz in
   let module Trial = Aggshap_check.Trial in
   let module Utrial = Aggshap_check.Utrial in
@@ -763,12 +757,6 @@ let updates_flag_arg =
                live session, cross-checking every step against a \
                from-scratch batch solve.")
 
-let legacy_eval_arg =
-  Arg.(value & flag & info [ "legacy-eval" ]
-         ~doc:"Run the campaign on the legacy scan evaluator and the \
-               rescanning partition (planner and secondary indexes \
-               disabled), so both evaluation paths stay green.")
-
 let fuzz_fallback_arg =
   Arg.(value & opt string "naive" & info [ "fallback" ] ~docv:"MODE"
          ~doc:"Which exact fallback tier the campaign stresses: naive \
@@ -787,7 +775,7 @@ let fuzz_cmd =
              databases, cross-validating the polynomial DPs against naive \
              enumeration, the Shapley axioms, and every engine \
              configuration; failures are shrunk to a minimal reproducer.")
-    Term.(const run_fuzz $ seed_arg $ trials_arg $ max_endo_arg $ jobs_arg $ max_failures_arg $ updates_flag_arg $ legacy_eval_arg $ fuzz_fallback_arg $ verbose_arg)
+    Term.(const run_fuzz $ seed_arg $ trials_arg $ max_endo_arg $ jobs_arg $ max_failures_arg $ updates_flag_arg $ fuzz_fallback_arg $ verbose_arg)
 
 let main_cmd =
   Cmd.group

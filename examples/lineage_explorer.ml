@@ -1,20 +1,30 @@
 (* Lineage explorer: knowledge compilation for membership games
    (Remark 4.5).
 
-   The Boolean lineage of a hierarchical CQ factorizes into a read-once
-   tree of independent ⊗ (and) and ⊕ (or) nodes. This example compiles
-   the lineage of the minimal interesting query on a small database,
-   prints it, and shows that Shapley values fall out of a linear pass
-   over the compiled tree. *)
+   The Boolean lineage of a CQ is a positive DNF over the endogenous
+   facts: one minterm per homomorphism. This example extracts the
+   lineage of the minimal interesting query on a small database, prints
+   it, compiles it to a d-DNNF circuit by Shannon expansion, and shows
+   that Shapley values and satisfying-subset counts fall out of
+   weighted model counting over the compiled circuit. *)
 
 module Q = Aggshap_arith.Rational
 module Cq = Aggshap_cq.Cq
 module Parser = Aggshap_cq.Parser
 module Database = Aggshap_relational.Database
 module Fact = Aggshap_relational.Fact
-module Dtree = Aggshap_core.Dtree
+module Aggregate = Aggshap_agg.Aggregate
+module Value_fn = Aggshap_agg.Value_fn
+module Agg_query = Aggshap_agg.Agg_query
+module Lineage = Aggshap_lineage.Lineage
+module Formula = Aggshap_lineage.Formula
+module Ddnnf = Aggshap_lineage.Ddnnf
 
 let query = Parser.parse_query_exn "Q() <- R(x, y), S(y)"
+
+(* Count over a Boolean query is 1 when the query holds and 0
+   otherwise: the membership game. *)
+let membership = Agg_query.make Aggregate.Count (Value_fn.const ~rel:"R" Q.one) query
 
 let database =
   Database.of_list
@@ -31,26 +41,40 @@ let () =
   Printf.printf "Database: %d facts (%d endogenous)\n\n" (Database.size database)
     (Database.endo_size database);
 
-  let tree = Dtree.compile query database in
-  Format.printf "Compiled read-once lineage:@.  %a@.@." Dtree.pp tree;
-  Printf.printf "tree size: %d nodes; read-once: %b; literals: %d\n\n" (Dtree.size tree)
-    (Dtree.is_read_once tree)
-    (List.length (Dtree.facts tree));
+  (* One answer (the empty tuple), whose lineage is a DNF over the
+     endogenous facts; exogenous facts are always present and drop out. *)
+  let x = Lineage.extract membership database in
+  let players = x.Lineage.players in
+  let lineage =
+    match x.Lineage.answers with
+    | [ (_, phi) ] -> phi
+    | _ -> failwith "a satisfiable Boolean query has exactly one answer"
+  in
+  Printf.printf "Boolean lineage:\n  %s\n  where " (Formula.to_string lineage);
+  Array.iteri
+    (fun i f -> Printf.printf "%sx%d = %s" (if i > 0 then ", " else "") i (Fact.to_string f))
+    players;
+  print_newline ();
+
+  let mgr = Ddnnf.create x.Lineage.store in
+  let circuit = Ddnnf.compile mgr lineage in
+  Printf.printf "\nd-DNNF: %d decision nodes over %d of %d facts\n\n" (Ddnnf.size circuit)
+    (Formula.ISet.cardinal (Ddnnf.node_vars circuit))
+    (Array.length players);
 
   (* The fact R(4,99) joins with nothing: it does not even appear in the
      lineage, and its Shapley value is 0 (null player). *)
-  Printf.printf "Shapley values of the membership game, from the compiled tree:\n";
+  Printf.printf "Shapley values of the membership game, from the compiled circuit:\n";
   List.iter
-    (fun f ->
-      let v = Dtree.shapley tree database f in
+    (fun (f, v) ->
       let cross = Aggshap_core.Boolean_dp.shapley query database f in
       assert (Q.equal v cross);
       Printf.printf "  %-12s %8s (~ %.4f)\n" (Fact.to_string f) (Q.to_string v)
         (Q.to_float v))
-    (Database.endogenous database);
+    (Lineage.shapley_all membership database);
 
   (* Satisfying-subset counts by coalition size — the sum_k view. *)
-  let counts = Dtree.satisfying_counts tree database in
+  let counts = Ddnnf.model_counts mgr ~n:(Array.length players) circuit in
   Printf.printf "\nsatisfying k-subsets: ";
   Array.iteri
     (fun k c -> Printf.printf "%s%d:%s" (if k > 0 then ", " else "") k

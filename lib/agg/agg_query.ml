@@ -36,7 +36,10 @@ module TupleMap = Map.Make (struct
     end
 end)
 
-let answer_values t db =
+(* [visit] is the homomorphism enumerator: the planned evaluator for
+   every production entry point, the scan evaluator for the
+   differential oracle's reference ({!eval_via}). *)
+let answer_values_via visit t db =
   let r_atom =
     match Cq.find_atom t.query t.tau.Value_fn.rel with
     | Some a -> a
@@ -44,7 +47,7 @@ let answer_values t db =
   in
   (* Map each answer tuple to its τ-value; check localization consistency. *)
   let values = ref TupleMap.empty in
-  Eval.visit_homomorphisms t.query db (fun sigma ->
+  visit t.query db (fun sigma ->
       let answer = Eval.apply_head t.query sigma in
       let r_fact = Eval.atom_image r_atom sigma in
       let v = Value_fn.apply t.tau r_fact.Fact.args in
@@ -62,10 +65,12 @@ let answer_values t db =
       true);
   TupleMap.bindings !values
 
-let answer_bag t db =
-  List.fold_left (fun bag (_, v) -> Bag.add v bag) Bag.empty (answer_values t db)
+let answer_values t db = answer_values_via Eval.visit_homomorphisms t db
 
+let bag_of values = List.fold_left (fun bag (_, v) -> Bag.add v bag) Bag.empty values
+let answer_bag t db = bag_of (answer_values t db)
 let eval t db = Aggregate.apply t.alpha (answer_bag t db)
+let eval_via visit t db = Aggregate.apply t.alpha (bag_of (answer_values_via visit t db))
 
 let tau_of_fact t (f : Fact.t) =
   if not (String.equal f.rel t.tau.Value_fn.rel) then

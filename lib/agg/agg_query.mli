@@ -29,6 +29,19 @@ val answer_bag : t -> Aggshap_relational.Database.t -> Bag.t
 val eval : t -> Aggshap_relational.Database.t -> Aggshap_arith.Rational.t
 (** [A(D) = α(answer_bag)]; 0 when there are no answers. *)
 
+val eval_via :
+  (Aggshap_cq.Cq.t ->
+  Aggshap_relational.Database.t ->
+  (Aggshap_cq.Eval.subst -> bool) ->
+  unit) ->
+  t ->
+  Aggshap_relational.Database.t ->
+  Aggshap_arith.Rational.t
+(** {!eval} with the homomorphism enumerator passed in: [eval] is
+    [eval_via Aggshap_cq.Eval.visit_homomorphisms]. The differential
+    oracle passes the scan evaluator ({!Aggshap_cq.Eval.Legacy}) so
+    its reference never probes a secondary index. *)
+
 val tau_of_fact : t -> Aggshap_relational.Fact.t -> Aggshap_arith.Rational.t
 (** τ applied to a fact of the localization relation.
     @raise Invalid_argument for facts of other relations. *)

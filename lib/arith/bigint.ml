@@ -83,10 +83,6 @@ let reset_stats () =
   Atomic.set c_promotions 0;
   Atomic.set c_demotions 0
 
-type fault = [ `None | `Karatsuba_split ]
-
-let fault : fault ref = ref `None
-
 let big_zero = { sign = 0; mag = [||] }
 
 let normalize sign mag =
@@ -520,14 +516,14 @@ let mul a b =
         end
         else demote (big_mul (big_of_int x) (big_of_int y))
     in
-    (match !fault with
-     | `None -> r
-     | `Karatsuba_split -> apply_mul_fault a b r)
+    (match !Fault.current with
+     | `Karatsuba_split -> apply_mul_fault a b r
+     | _ -> r)
   | _ ->
     let r = demote (big_mul (big_of a) (big_of b)) in
-    (match !fault with
-     | `None -> r
-     | `Karatsuba_split -> apply_mul_fault a b r)
+    (match !Fault.current with
+     | `Karatsuba_split -> apply_mul_fault a b r
+     | _ -> r)
 
 let mul_schoolbook a b =
   match (a, b) with
@@ -549,15 +545,15 @@ let sqr a =
         if p <> min_int && p / x = x then Small p
         else demote (normalize 1 (sqr_mag (big_of_int x).mag))
     in
-    (match !fault with
-     | `None -> r
-     | `Karatsuba_split -> apply_mul_fault a a r)
+    (match !Fault.current with
+     | `Karatsuba_split -> apply_mul_fault a a r
+     | _ -> r)
   | Big b ->
     Atomic.incr c_sqr;
     let r = demote (normalize 1 (sqr_mag b.mag)) in
-    (match !fault with
-     | `None -> r
-     | `Karatsuba_split -> apply_mul_fault a a r)
+    (match !Fault.current with
+     | `Karatsuba_split -> apply_mul_fault a a r
+     | _ -> r)
 
 (* The dedicated scalar loop admits any |n| < 2^32: limb*scalar plus
    carry stays below 2^62. *)

@@ -38,18 +38,6 @@ type stats = {
 val stats : unit -> stats
 val reset_stats : unit -> unit
 
-(** {1 Fault injection}
-
-    Differential-testing hook (see [Tables.set_fault]): when set to
-    [`Karatsuba_split], every multiplication of two operands both at
-    least [4] gains a spurious [+ (|a|/4)*(|b|/4)*4] term — the
-    classic "forgot [- z2] in the middle Karatsuba term" bug scaled
-    down to a 2-bit split so randomized trials can observe it. *)
-
-type fault = [ `None | `Karatsuba_split ]
-
-val fault : fault ref
-
 val zero : t
 val one : t
 val two : t
@@ -112,12 +100,13 @@ val sub : t -> t -> t
 
 val mul : t -> t -> t
 (** Schoolbook below {!karatsuba_threshold} limbs (on the shorter
-    operand), Karatsuba above it. *)
+    operand), Karatsuba above it. Corrupted while the
+    [`Karatsuba_split] fault ({!Fault}) is armed, as is {!sqr}. *)
 
 val mul_schoolbook : t -> t -> t
 (** Always-schoolbook reference multiplication, exposed so property
     tests can check the Karatsuba path differentially. Ignores the
-    fault hook. *)
+    [`Karatsuba_split] fault ({!Fault}). *)
 
 val karatsuba_threshold : int ref
 (** Limb count (of the shorter operand) at which {!mul} switches to

@@ -10,18 +10,16 @@ module Naive = Aggshap_core.Naive
 module Solver = Aggshap_core.Solver
 module Monte_carlo = Aggshap_core.Monte_carlo
 
-module Plan = Aggshap_cq.Plan
+module Eval = Aggshap_cq.Eval
 module Lineage = Aggshap_lineage.Lineage
 
-(* Reference computations run on the legacy scan evaluator and the
-   rescanning partition: the system under test goes through the
-   planned/indexed stack, so every trial doubles as a differential test
-   of the two evaluation paths — and an index-maintenance fault
-   ([`Stale_index]) cannot corrupt both arms the same way. *)
-let with_legacy f =
-  let saved = !Plan.enabled in
-  Plan.enabled := false;
-  Fun.protect ~finally:(fun () -> Plan.enabled := saved) f
+(* The reference aggregate evaluates through the scan evaluator: the
+   system under test goes through the planned/indexed evaluator, so
+   every trial doubles as a differential test of the two evaluation
+   paths — and an index-maintenance fault ([`Stale_index]) cannot
+   corrupt both arms the same way. Scanning also builds no index on
+   the trial database that every coalition database would inherit. *)
+let reference_eval a = Agg_query.eval_via Eval.Legacy.visit_homomorphisms a
 
 type failure = {
   check : string;
@@ -89,14 +87,10 @@ let run_checks ~par_jobs ~kc_always ~auto_always (t : Trial.t) =
     None
   end
   else begin
-    let players, game = with_legacy (fun () -> Naive.game a db) in
     (* Every utility evaluation of the naive game — the reference for
-       agreement, efficiency and symmetry — goes through the legacy
+       agreement, efficiency and symmetry — goes through the scan
        evaluator, whatever check triggers it. *)
-    let game =
-      { game with
-        Game.utility = (fun mask -> with_legacy (fun () -> game.Game.utility mask)) }
-    in
+    let players, game = Naive.game_via (reference_eval a) db in
     let reference = Game.shapley_all game in
     let within = Solver.within_frontier a.Agg_query.alpha a.Agg_query.query in
     let solve ?(a = a) ?(db = db) f =
@@ -130,9 +124,7 @@ let run_checks ~par_jobs ~kc_always ~auto_always (t : Trial.t) =
     let check_efficiency () =
       let total = Array.fold_left Q.add Q.zero (Lazy.force sut) in
       let exo = Database.filter (fun _ p -> p = Database.Exogenous) db in
-      let expected =
-        with_legacy (fun () -> Q.sub (Agg_query.eval a db) (Agg_query.eval a exo))
-      in
+      let expected = Q.sub (reference_eval a db) (reference_eval a exo) in
       if Q.equal total expected then None
       else
         fail "efficiency" "Σφ = %s, v(N) − v(∅) = %s" (Q.to_string total)
@@ -345,11 +337,11 @@ let run_update_checks (u : Utrial.t) =
   let db = ref t.Trial.db in
   let session = Session.open_ ~jobs:1 !a !db in
   let check_step step =
-    (* The from-scratch reference solve runs on the legacy evaluation
-       stack: the independently rebuilt [!db] never shares index state
-       (or index bugs) with the session's incrementally maintained
-       database. *)
-    let reference = with_legacy (fun () -> fst (Batch.shapley_all ~jobs:1 !a !db)) in
+    (* The from-scratch reference solves a database rebuilt from the
+       fact list: it shares no index cell (or index bug) with the
+       session's incrementally maintained database. *)
+    let fresh = Database.of_list (Database.fold (fun f p acc -> (f, p) :: acc) !db []) in
+    let reference = fst (Batch.shapley_all ~jobs:1 !a fresh) in
     let got = Session.shapley_all session in
     same_exact_results (Printf.sprintf "session-vs-batch(step %d)" step) reference got
   in

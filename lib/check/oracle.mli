@@ -21,7 +21,7 @@ val run :
 (** First failing check of the trial, or [None] when all pass.
     [par_jobs] (default [2]) is the pool width used by the parallel
     engine-equivalence checks; pass [1] to keep the whole run in the
-    calling domain (required while {!Aggshap_core.Tables.fault} is set).
+    calling domain (required while {!Aggshap_arith.Fault.current} is set).
     The knowledge-compilation tier is cross-checked against the naive
     reference on every trial outside the frontier whose aggregate it
     supports; [kc_always] (default [false]) extends that check to trials

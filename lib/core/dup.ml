@@ -66,16 +66,9 @@ let memo_stats m =
 
 (* Counts of k-subsets with at most one answer. Only rows 0 and 1 are
    read, so the answer-count DP may lump every ℓ ≥ 2 together — the
-   saturated rows it reads are exact (see {!Count_dp.answer_counts}).
-   The cap rides the evaluation-stack switch: with [Plan.enabled]
-   cleared the DP runs the uncapped pre-indexed-stack merge, which is
-   the reference arm of the differential campaigns and the "before"
-   arm of the E19 bench, so every comparison also cross-checks the
-   saturated merge against the exact one. *)
-let cap () = if !Aggshap_cq.Plan.enabled then Some 2 else None
-
+   saturated rows it reads are exact (see {!Count_dp.answer_counts}). *)
 let at_most_one ?memo q db =
-  let t = Count_dp.answer_counts ?memo ?cap:(cap ()) q db in
+  let t = Count_dp.answer_counts ?memo ~cap:2 q db in
   Tables.add (Count_dp.get t 0) (Count_dp.get t 1)
 
 (* Figure 5: NoDup counts for a connected sq-hierarchical CQ containing
@@ -150,8 +143,8 @@ module Alg = struct
       let db1, _ = Database.restrict_relations (Cq.relations q1) db in
       let db2, _ = Database.restrict_relations other_rels db in
       let n1 = Database.endo_size db1 and n2 = Database.endo_size db2 in
-      let t1 = Count_dp.answer_counts ?memo:ctx.count ?cap:(cap ()) q1 db1 in
-      let t2 = Count_dp.answer_counts ?memo:ctx.count ?cap:(cap ()) q2 db2 in
+      let t1 = Count_dp.answer_counts ?memo:ctx.count ~cap:2 q1 db1 in
+      let t2 = Count_dp.answer_counts ?memo:ctx.count ~cap:2 q2 db2 in
       let nonempty1 = Tables.sub (Tables.full n1) (Count_dp.get t1 0) in
       let many2 =
         Tables.sub (Tables.full n2) (Tables.add (Count_dp.get t2 0) (Count_dp.get t2 1))

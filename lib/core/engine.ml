@@ -1,8 +1,8 @@
 module Cq = Aggshap_cq.Cq
 module Decompose = Aggshap_cq.Decompose
-module Plan = Aggshap_cq.Plan
 module Database = Aggshap_relational.Database
 module Value = Aggshap_relational.Value
+module Fault = Aggshap_arith.Fault
 
 type stats = {
   nodes : int;
@@ -37,7 +37,7 @@ let reset_stats () =
    every aggregate's values go wrong whenever that block matters. *)
 let faulty_partition q x db =
   let blocks, dropped = Decompose.partition q x db in
-  match Tables.current_fault () with
+  match !Fault.current with
   | `Block_drop when List.length blocks >= 2 -> begin
     match List.rev blocks with
     | (_, last) :: kept_rev ->
@@ -56,9 +56,8 @@ let faulty_partition q x db =
    table contexts: Avg/Quantile re-runs the engine once per reference
    value, and the per-fact batch loops revisit every block the fact is
    not in. The cache is bypassed (neither read nor written) whenever a
-   fault is armed or the legacy evaluation stack is selected, so the
-   differential campaigns' reference arm shares none of the new
-   machinery. Bounded: wholesale reset at [partition_cache_cap]
+   fault is armed, so a corrupted partition is never served to a later
+   solve. Bounded: wholesale reset at [partition_cache_cap]
    entries — stale entries are never wrong (the key is injective),
    only unused. *)
 let partition_cache :
@@ -69,7 +68,7 @@ let partition_lock = Mutex.create ()
 let partition_cache_cap = 8192
 
 let cached_partition q root db =
-  if (not !Plan.enabled) || Tables.current_fault () <> `None then
+  if !Fault.current <> `None then
     faulty_partition q root db
   else begin
     let key = Decompose.block_key q db in

@@ -9,12 +9,14 @@ let coalition_db players exo mask =
     players;
   !db
 
-let game a db =
+let game_via eval db =
   let players = Array.of_list (Database.endogenous db) in
   let exo = Database.filter (fun _ p -> p = Database.Exogenous) db in
-  let base = Agg_query.eval a exo in
-  let utility mask = Q.sub (Agg_query.eval a (coalition_db players exo mask)) base in
+  let base = eval exo in
+  let utility mask = Q.sub (eval (coalition_db players exo mask)) base in
   (players, Game.make ~n:(Array.length players) utility)
+
+let game a db = game_via (Agg_query.eval a) db
 
 let index_of players f =
   let found = ref (-1) in

@@ -16,6 +16,14 @@ val game :
     @raise Invalid_argument if there are more than {!Game.max_players}
     endogenous facts. *)
 
+val game_via :
+  (Aggshap_relational.Database.t -> Aggshap_arith.Rational.t) ->
+  Aggshap_relational.Database.t ->
+  Aggshap_relational.Fact.t array * Game.t
+(** [game_via eval db] is the same game with [A] given as the function
+    [eval]: {!game} is [game_via (Agg_query.eval a)]. The differential
+    oracle passes [Agg_query.eval_via] over the scan evaluator. *)
+
 val index_of : Aggshap_relational.Fact.t array -> Aggshap_relational.Fact.t -> int
 (** Player index of a fact in the array returned by {!game} — the one
     fact-to-index resolution shared by every naive score ({!shapley},

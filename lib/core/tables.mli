@@ -61,77 +61,16 @@ val convolve : counts -> counts -> counts
     else takes the classic paths — a zero-skipping scatter loop for
     sparse/thin operands, a multiply-accumulate buffer
     ({!Aggshap_arith.Bigint.Acc}) for dense ones. All tiers produce
-    bit-identical results. *)
+    bit-identical results. Corrupted under the [`Convolve_off_by_one]
+    fault ({!Aggshap_arith.Fault}). *)
 
 val convolve_many : counts list -> counts
 (** Balanced pairwise reduction of [convolve] over the list (neutral
     element [[| 1 |]], the table of the empty fact set). Replaces the
     left-folds the DP modules used across hierarchy blocks and connected
     components: bit-identical results (exact arithmetic, associativity),
-    but each input is re-traversed O(log n) times instead of O(n). *)
-
-type fault =
-  [ `None
-  | `Convolve_off_by_one
-  | `Tree_fold_skew
-  | `Karatsuba_split
-  | `Stale_block
-  | `Block_drop
-  | `Stale_index
-  | `Ddnnf_cache_poison
-  | `Kc_budget_leak ]
-(** Test-only fault injection for the differential-testing oracle
-    ({!Aggshap_check}):
-    - [`Convolve_off_by_one] makes {!convolve} corrupt its top entry
-      whenever both operands are non-trivial, simulating an off-by-one
-      in a DP [combine] step.
-    - [`Tree_fold_skew] makes {!convolve_many} swap the top two entries
-      of the reduced table whenever the reduction tree has at least
-      three leaves, simulating mis-paired siblings.
-    - [`Karatsuba_split] injects a wrong-split-point multiplication bug
-      into the arithmetic layer itself (see
-      {!Aggshap_arith.Bigint.fault}).
-    - [`Stale_block] makes the incremental engine
-      ({!Aggshap_incr.Session}) skip one cache invalidation per update:
-      the first dirty membership game keeps its stale per-fact
-      contributions, and the τ-flush of the generic-path batch memo is
-      suppressed. The kernels themselves ignore this variant.
-    - [`Block_drop] makes the decomposition engine ({!Engine}) demote
-      the last root-variable block of every partition with at least two
-      blocks to null-player padding, simulating a lost hierarchy block.
-      The kernels themselves ignore this variant; it corrupts every
-      aggregate's DP at the decomposition layer instead.
-    - [`Stale_index] makes database updates keep the parent's built
-      secondary indexes instead of adjusting them (see
-      {!Aggshap_relational.Database.fault}): an index built before an
-      insert/delete/provenance flip keeps answering with the old
-      contents, so the planned evaluator and the indexed partition go
-      wrong wherever a stale index is probed. The kernels themselves
-      ignore this variant.
-    - [`Ddnnf_cache_poison] makes the knowledge-compilation tier's
-      Shannon-expansion compiler poison its formula-keyed cache: the
-      entry stored for a non-trivial decision node swaps the node's
-      children (see {!Aggshap_lineage.Ddnnf.fault}), so every compiled
-      circuit that hits the poisoned cache is semantically wrong. Only
-      the lineage tier is affected; the frontier DPs ignore it.
-    - [`Kc_budget_leak] breaks the d-DNNF node-budget abort path (see
-      {!Aggshap_lineage.Ddnnf.fault}): past a small node count the
-      compiler silently truncates sub-formulas to [False] instead of
-      raising [Budget_exceeded], so the compiled circuits under-count
-      models and the values drift low. Only the lineage tier is
-      affected; the frontier DPs ignore it.
-
-    Every frontier DP funnels through these kernels, so the oracle must
-    flag each corruption. Not domain-safe; only toggle around
-    sequential ([jobs = 1]) runs. *)
-
-val set_fault : fault -> unit
-(** Also keeps [Bigint.fault] in sync for [`Karatsuba_split],
-    [Database.fault] for [`Stale_index], and
-    [Aggshap_lineage.Ddnnf.fault] for [`Ddnnf_cache_poison] and
-    [`Kc_budget_leak]. *)
-
-val current_fault : unit -> fault
+    but each input is re-traversed O(log n) times instead of O(n).
+    Corrupted under the [`Tree_fold_skew] fault. *)
 
 val pad : int -> counts -> counts
 (** [pad p c] extends the underlying fact set by [p] endogenous null

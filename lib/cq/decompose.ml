@@ -195,10 +195,10 @@ let fingerprint db = Database.cached_digest db fingerprint_uncached
 
 let block_key q db = Cq.to_string q ^ "\x00" ^ fingerprint db
 
-(* The legacy partition: recompute the root values by scanning every
+(* The scan partition: recompute the root values by scanning every
    atom's relation, then filter the whole database once per value.
    O(values × |db|) — kept as the reference arm of the equivalence
-   suite and for [Plan.enabled = false] runs. *)
+   suite. *)
 let partition_scan q x db =
   let values = root_values q x db in
   let block a =
@@ -229,7 +229,7 @@ let var_position (a : Cq.atom) x =
   in
   go 0
 
-(* The indexed partition: one probe per atom of the (rel, root
+(* The partition: one probe per atom of the (rel, root
    position) secondary index groups the matching facts by root value —
    a fact matching the atom with [x ↦ v] carries [v] at every
    x-position, so the index group for [v] is a superset of the block's
@@ -238,7 +238,7 @@ let var_position (a : Cq.atom) x =
    be realized by a matching fact in {e every} atom, as in
    [root_values]); blocks are per-value unions across atoms.
    O(Σ segments + Σ blocks·log) in one pass, not O(values × |db|). *)
-let partition_indexed q x db =
+let partition q x db =
   match q.Cq.body with
   | [] -> ([], db)
   | body ->
@@ -290,6 +290,3 @@ let partition_indexed q x db =
     in
     let dropped = Database.filter (fun f _ -> not (FactSet.mem f !placed)) db in
     (blocks, dropped)
-
-let partition q x db =
-  if !Plan.enabled then partition_indexed q x db else partition_scan q x db

@@ -59,25 +59,17 @@ val partition :
   (Aggshap_relational.Value.t * Aggshap_relational.Database.t) list * Aggshap_relational.Database.t
 (** [partition q x db] splits [db] by the root values of [x] into
     disjoint blocks, returning also the facts that fall in no block
-    (null players dropped at this step). Dispatches on {!Plan.enabled}
-    between {!partition_indexed} and {!partition_scan}; both produce
-    identical blocks in identical order. *)
-
-val partition_indexed :
-  Cq.t ->
-  string ->
-  Aggshap_relational.Database.t ->
-  (Aggshap_relational.Value.t * Aggshap_relational.Database.t) list * Aggshap_relational.Database.t
-(** One pass over the (relation, root-position) secondary indexes:
-    groups each atom's matching facts by root value, intersects the
-    realized value sets, and assembles blocks from the groups —
-    O(Σ segments + Σ blocks·log |db|). *)
+    (null players dropped at this step). One pass over the (relation,
+    root-position) secondary indexes: groups each atom's matching facts
+    by root value, intersects the realized value sets, and assembles
+    blocks from the groups — O(Σ segments + Σ blocks·log |db|). Produces
+    the same blocks in the same order as {!partition_scan}. *)
 
 val partition_scan :
   Cq.t ->
   string ->
   Aggshap_relational.Database.t ->
   (Aggshap_relational.Value.t * Aggshap_relational.Database.t) list * Aggshap_relational.Database.t
-(** The legacy partition — rescans the whole database once per root
+(** The scan partition — rescans the whole database once per root
     value, O(values × |db|). The reference arm of the partition
     equivalence suite. *)

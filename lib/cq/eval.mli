@@ -1,10 +1,10 @@
 (** CQ evaluation: homomorphism enumeration over a database.
 
     Two interchangeable evaluators produce the same homomorphism set:
-    the default runs a compiled {!Plan} as an index nested-loop join
-    over the database's secondary indexes; the legacy backtracking
-    scan join ({!Legacy}) is kept as the differential-testing
-    reference and is selected globally by clearing {!Plan.enabled}.
+    the top-level entry points run a compiled {!Plan} as an index
+    nested-loop join over the database's secondary indexes; the
+    backtracking scan join ({!Legacy}) is kept as the
+    differential-testing reference, which callers name explicitly.
     Only the enumeration {e order} differs between them — every
     exported view is a set, a bag sum, or a boolean. The evaluator
     feeds top-level answer materialization, the support computation of
@@ -17,8 +17,8 @@ type subst
 val visit_homomorphisms :
   Cq.t -> Aggshap_relational.Database.t -> (subst -> bool) -> unit
 (** Enumerate homomorphisms without materializing them; the visitor
-    returns [true] to continue and [false] to stop early. Dispatches on
-    {!Plan.enabled}. *)
+    returns [true] to continue and [false] to stop early. Runs
+    [Plan.compile q] through {!Planned.visit_homomorphisms}. *)
 
 val homomorphisms : Cq.t -> Aggshap_relational.Database.t -> subst list
 (** All homomorphisms from the query to the database. *)
@@ -40,9 +40,11 @@ val support : Cq.t -> Aggshap_relational.Database.t -> Aggshap_relational.Fact.t
 (** Facts that participate in at least one homomorphism. Facts outside
     the support are null players of every Shapley game over the query. *)
 
-(** The legacy scan evaluator — body-order atoms, one relation scan
-    each — independent of {!Plan.enabled}. The reference arm of the
-    planner equivalence suite. *)
+(** The scan evaluator — body-order atoms, one relation scan each,
+    no index. The reference arm of the planner equivalence suite, and
+    the evaluator of the differential oracle's naive reference game
+    ([Aggshap_check.Oracle]), which must not share index state with
+    the system under test. *)
 module Legacy : sig
   val visit_homomorphisms :
     Cq.t -> Aggshap_relational.Database.t -> (subst -> bool) -> unit
@@ -54,7 +56,7 @@ module Legacy : sig
 end
 
 (** The planned evaluator pinned to an explicit (possibly adversarial)
-    plan, independent of {!Plan.enabled}. *)
+    plan. *)
 module Planned : sig
   val visit_homomorphisms :
     Plan.t -> Aggshap_relational.Database.t -> (subst -> bool) -> unit

@@ -19,14 +19,6 @@ type t = {
   steps : step list;
 }
 
-(* Global switch between the planned/indexed evaluator and the legacy
-   scan evaluator (atoms in body order, [Database.relation] per atom).
-   [Eval] and [Decompose.partition] both consult it, so flipping it
-   swaps the whole evaluation stack — the differential campaigns run
-   the corpus on both settings and the oracle computes its references
-   with the flag off. *)
-let enabled = ref true
-
 let c_plan_compiles = Atomic.make 0
 
 type stats = { plan_compiles : int }
@@ -76,7 +68,8 @@ let bind bound (a : Cq.atom) =
    remaining atom with the most bound positions (constants plus
    variables bound by the atoms already placed) — the index
    nested-loop join heuristic. Ties keep body order, so a query whose
-   atoms are all unconstrained degrades to exactly the legacy order.
+   atoms are all unconstrained degrades to exactly the scan
+   evaluator's order.
    [?order] overrides the ordering with explicit body indices (used by
    the equivalence suite to pin the evaluator on adversarial plans);
    access-path selection still runs per step. *)

@@ -5,9 +5,9 @@
 
     A plan depends only on the query (binding patterns), not the
     database, and both produce exactly the homomorphism {e set} of the
-    legacy scan evaluator — only the enumeration order differs, and
-    every consumer (answer sets, support sets, satisfaction, answer-
-    value maps) is order-insensitive. *)
+    scan evaluator ({!Eval.Legacy}) — only the enumeration order
+    differs, and every consumer (answer sets, support sets,
+    satisfaction, answer-value maps) is order-insensitive. *)
 
 type access =
   | Probe_const of int * Aggshap_relational.Value.t
@@ -25,13 +25,6 @@ type t = {
   query : Cq.t;
   steps : step list;  (** join order: earlier steps bind variables for later ones *)
 }
-
-val enabled : bool ref
-(** [true] (default): {!Eval} and {!Decompose.partition} run through
-    plans and indexes. [false]: the legacy scan evaluator and the
-    rescanning partition — kept for differential testing ([shapctl fuzz
-    --legacy-eval], the forced-legacy corpus replay, and the oracle's
-    reference arm). *)
 
 val compile : ?order:int list -> Cq.t -> t
 (** Greedy bound-position ordering; [?order] pins an explicit atom

@@ -104,7 +104,7 @@ let invalidate lin f =
     lin.games;
   let matched = List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2) !matched in
   let matched =
-    match (Tables.current_fault (), matched) with
+    match (!Aggshap_arith.Fault.current, matched) with
     | `Stale_block, _ :: rest -> rest
     | _, all -> all
   in
@@ -135,7 +135,7 @@ let apply t u =
           the flush (the fingerprint guard in Batch then refuses the
           stale memo). *)
        let fp = Batch.fingerprint_of a in
-       if fp <> g.memo_fp && Tables.current_fault () <> `Stale_block then begin
+       if fp <> g.memo_fp && !Aggshap_arith.Fault.current <> `Stale_block then begin
          g.memo <- Batch.create_memo a;
          g.memo_fp <- fp;
          t.full_recomputes <- t.full_recomputes + 1

@@ -22,6 +22,7 @@
 
 module B = Aggshap_arith.Bigint
 module Combinat = Aggshap_arith.Combinat
+module Fault = Aggshap_arith.Fault
 module Q = Aggshap_arith.Rational
 module ISet = Formula.ISet
 
@@ -29,13 +30,6 @@ type node =
   | True
   | False
   | Decision of { id : int; var : int; hi : node; lo : node; vars : ISet.t }
-
-type fault =
-  [ `None
-  | `Cache_poison
-  | `Budget_leak ]
-
-let fault : fault ref = ref `None
 
 exception Budget_exceeded
 
@@ -123,10 +117,10 @@ let mk mgr var hi lo =
       (* The node budget caps the circuit before the next allocation,
          mirroring the Int_overflow abort-and-retry in Tables.convolve:
          the caller catches Budget_exceeded and falls back to the
-         planner's next tier. Under [`Budget_leak] the guard is
+         planner's next tier. Under [`Kc_budget_leak] the guard is
          silently skipped (see {!expand}). *)
       (match mgr.budget with
-      | Some b when mgr.next_id >= b && !fault <> `Budget_leak ->
+      | Some b when mgr.next_id >= b && !Fault.current <> `Kc_budget_leak ->
         Atomic.incr c_budget_aborts;
         raise_notrace Budget_exceeded
       | _ -> ());
@@ -139,13 +133,13 @@ let mk mgr var hi lo =
   end
 
 (* Shannon expansion with the formula-keyed cache. Under the
-   [`Cache_poison] fault the entry stored (and returned) for a
+   [`Ddnnf_cache_poison] fault the entry stored (and returned) for a
    non-trivial decision swaps its children — the cache now answers with
    a semantically wrong circuit, exactly the corruption the
    differential oracle must catch. With the cache disabled the fault
    has nothing to poison and compilation stays correct.
 
-   Under [`Budget_leak] the node-budget abort path is broken the
+   Under [`Kc_budget_leak] the node-budget abort path is broken the
    quietest way possible: instead of raising {!Budget_exceeded} the
    compiler hands back the partial circuit it had built, truncating
    every sub-formula reached after a small node count to [False]. The
@@ -154,7 +148,7 @@ let mk mgr var hi lo =
 let rec expand mgr f =
   if Formula.is_true f then True
   else if Formula.is_false f then False
-  else if !fault = `Budget_leak && mgr.next_id > 4 then False
+  else if !Fault.current = `Kc_budget_leak && mgr.next_id > 4 then False
   else begin
     let fid = Formula.id f in
     match
@@ -175,8 +169,8 @@ let rec expand mgr f =
       let n = mk mgr v hi lo in
       if mgr.use_cache then begin
         let stored =
-          match (!fault, n) with
-          | `Cache_poison, Decision d -> mk mgr d.var d.lo d.hi
+          match (!Fault.current, n) with
+          | `Ddnnf_cache_poison, Decision d -> mk mgr d.var d.lo d.hi
           | _ -> n
         in
         Hashtbl.add mgr.compile_cache fid stored;

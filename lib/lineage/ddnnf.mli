@@ -20,29 +20,16 @@ type node =
       vars : Formula.ISet.t;
     }
 
-type fault =
-  [ `None
-  | `Cache_poison
-  | `Budget_leak ]
-
-val fault : fault ref
-(** [`Cache_poison] makes the formula-keyed cache store (and answer
-    with) a child-swapped decision node — a semantically wrong circuit
-    the differential oracle must catch. Kept in sync with
-    {!Aggshap_core.Tables.set_fault} ([`Ddnnf_cache_poison]). With the
-    cache disabled there is nothing to poison. [`Budget_leak] breaks
-    the node-budget abort path: past a small node count the compiler
-    silently truncates sub-formulas to [False] instead of raising
-    {!Budget_exceeded} — under-counted models the differential oracle
-    must catch ([`Kc_budget_leak] on the {!Aggshap_core.Tables} side).
-    Not domain-safe. *)
-
 exception Budget_exceeded
 (** Raised (without a backtrace) by {!compile} when the manager's node
     budget would be exceeded by the next allocation. The caller is
     expected to abandon the manager and fall back to the solve
     planner's next tier — the knowledge-compilation analogue of the
-    [Int_overflow] abort-and-retry in [Tables.convolve]. *)
+    [Int_overflow] abort-and-retry in [Tables.convolve]. The compiler
+    honours two faults of {!Aggshap_arith.Fault}:
+    [`Ddnnf_cache_poison] (the compile cache answers with child-swapped
+    decision nodes) and [`Kc_budget_leak] (past a small node count
+    sub-formulas are truncated to [False] instead of raising). *)
 
 type manager
 (** Unique node table + formula-keyed compile cache + counting memo.

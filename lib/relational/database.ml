@@ -74,13 +74,6 @@ let reset_stats () =
   Atomic.set c_index_probes 0;
   Atomic.set c_rel_scans 0
 
-(* [`Stale_index]: updates keep the already-built indexes of the parent
-   database instead of adjusting them, simulating a forgotten
-   invalidation. Segments are always maintained correctly — only probes
-   against an index built before the update go wrong. Set via
-   [Tables.set_fault] like the arithmetic-layer faults. *)
-let fault : [ `None | `Stale_index ] ref = ref `None
-
 let no_idx () = Atomic.make IdxMap.empty
 
 (* [dig] memoizes an injective serialization of the database (the
@@ -129,7 +122,10 @@ let index_remove (f : Fact.t) pos vmap =
 
 (* The fresh cell of a database derived by one fact update: the
    parent's built indexes on the fact's relation, adjusted by
-   [update_entry] — or carried over stale under the fault. *)
+   [update_entry] — or carried over stale under the [`Stale_index]
+   fault, which simulates a forgotten invalidation: segments stay
+   correct, only probes against an index built before the update go
+   wrong. *)
 let derive_idx idx (f : Fact.t) update_entry =
   let snapshot = Atomic.get idx in
   (* Fast path: nothing built yet (the common case for the throwaway
@@ -138,9 +134,9 @@ let derive_idx idx (f : Fact.t) update_entry =
   if IdxMap.is_empty snapshot then no_idx ()
   else
     let updated =
-      match !fault with
+      match !Aggshap_arith.Fault.current with
       | `Stale_index -> snapshot
-      | `None ->
+      | _ ->
         IdxMap.mapi
           (fun (rel, pos) vmap ->
             if String.equal rel f.rel then update_entry pos vmap else vmap)

@@ -108,7 +108,11 @@ val cached_digest : t -> (t -> string) -> string
     must always pass the same (pure) [compute] — the engine's
     fingerprint serialization does. *)
 
-(** {1 Instrumentation and fault injection} *)
+(** {1 Instrumentation and fault injection}
+
+    Updates honour the [`Stale_index] fault of
+    {!Aggshap_arith.Fault}: derived databases keep the parent's built
+    indexes verbatim instead of adjusting them. *)
 
 type stats = {
   index_builds : int;  (** secondary indexes constructed from a segment *)
@@ -118,9 +122,3 @@ type stats = {
 
 val stats : unit -> stats
 val reset_stats : unit -> unit
-
-val fault : [ `None | `Stale_index ] ref
-(** [`Stale_index] makes updates keep the parent's built indexes
-    verbatim instead of adjusting them — a forgotten invalidation.
-    Segments stay correct; only index probes go wrong. Set through
-    [Tables.set_fault], which keeps the layers in sync. *)

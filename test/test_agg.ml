@@ -9,6 +9,8 @@ module Agg_query = Aggshap_agg.Agg_query
 module Database = Aggshap_relational.Database
 module Fact = Aggshap_relational.Fact
 module Catalog = Aggshap_workload.Catalog
+module Eval = Aggshap_cq.Eval
+module Trial = Aggshap_check.Trial
 
 let bag_of_ints ns = Bag.of_list (List.map Q.of_int ns)
 
@@ -146,6 +148,43 @@ let test_localization_violation () =
   let a3 = Agg_query.make Aggregate.Max (Value_fn.const ~rel:"R" Q.one) q in
   check_q "constant τ" "1" (Agg_query.eval a3 db)
 
+(* [eval_via] with the planned visitor is [eval]; with the scan visitor
+   it agrees on every random trial and never touches an index (the
+   differential oracle relies on both). *)
+let test_eval_via () =
+  let check_trial seed =
+    let t = Trial.generate ~max_endo:6 ~seed () in
+    let a = Trial.agg_query t in
+    let expected = Agg_query.eval a t.Trial.db in
+    check_q "planned visitor" (Q.to_string expected)
+      (Agg_query.eval_via Eval.visit_homomorphisms a t.Trial.db);
+    let fresh =
+      Database.of_list (Database.fold (fun f p acc -> (f, p) :: acc) t.Trial.db [])
+    in
+    Database.reset_stats ();
+    let via_scan = Agg_query.eval_via Eval.Legacy.visit_homomorphisms a fresh in
+    let s = Database.stats () in
+    check_q (Printf.sprintf "seed %d: scan visitor" seed) (Q.to_string expected) via_scan;
+    Alcotest.(check int) "scan builds no index" 0 s.Database.index_builds;
+    Alcotest.(check int) "scan probes no index" 0 s.Database.index_probes
+  in
+  for seed = 0 to 59 do
+    check_trial seed
+  done;
+  Database.reset_stats ()
+
+(* The scan visitor reports a non-localized τ like the planned one. *)
+let test_eval_via_localization () =
+  let a = Agg_query.make Aggregate.Max (Value_fn.id ~rel:"R" ~pos:1) Catalog.q_xyy in
+  let db =
+    Database.of_facts
+      [ Fact.of_ints "R" [ 1; 10 ]; Fact.of_ints "R" [ 1; 20 ];
+        Fact.of_ints "S" [ 10 ]; Fact.of_ints "S" [ 20 ] ]
+  in
+  match Agg_query.eval_via Eval.Legacy.visit_homomorphisms a db with
+  | _ -> Alcotest.fail "expected a localization error"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "agg"
     [ ( "bags",
@@ -163,5 +202,8 @@ let () =
         [ Alcotest.test_case "evaluation" `Quick test_agg_query_eval;
           Alcotest.test_case "validation" `Quick test_agg_query_validation;
           Alcotest.test_case "localization check" `Quick test_localization_violation;
+          Alcotest.test_case "eval_via: planned and scan visitors" `Quick test_eval_via;
+          Alcotest.test_case "eval_via: scan visitor checks localization" `Quick
+            test_eval_via_localization;
         ] );
     ]

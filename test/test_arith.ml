@@ -8,6 +8,7 @@ module B = Aggshap_arith.Bigint
 module Q = Aggshap_arith.Rational
 module C = Aggshap_arith.Combinat
 module Tables = Aggshap_core.Tables
+module Fault = Aggshap_arith.Fault
 
 let check_b msg expected actual =
   Alcotest.(check string) msg expected (B.to_string actual)
@@ -629,6 +630,38 @@ let combinat_props =
         Q.equal total Q.one);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Fault registry: the arithmetic layer's injection point              *)
+(* ------------------------------------------------------------------ *)
+
+let with_fault fault f =
+  assert (!Fault.current = `None);
+  Fault.current := fault;
+  Fun.protect ~finally:(fun () -> Fault.current := `None) f
+
+(* [`Karatsuba_split] adds (|a|/4)*(|b|/4)*4 to every product whose
+   operands are both at least 4, squares included; the schoolbook
+   reference ignores it, and clearing the registry restores exactness. *)
+let test_karatsuba_split_fault () =
+  with_fault `Karatsuba_split (fun () ->
+      check_b "5*7 corrupted" "39" (B.mul (B.of_int 5) (B.of_int 7));
+      check_b "5^2 corrupted" "29" (B.sqr (B.of_int 5));
+      check_b "an operand below 4 is exact" "21" (B.mul (B.of_int 3) (B.of_int 7));
+      check_b "schoolbook ignores the fault" "35"
+        (B.mul_schoolbook (B.of_int 5) (B.of_int 7)));
+  check_b "cleared: exact again" "35" (B.mul (B.of_int 5) (B.of_int 7))
+
+(* Every other variant belongs to another layer: multiplication and
+   squaring stay exact while it is armed. *)
+let test_other_faults_leave_arithmetic_exact () =
+  List.iter
+    (fun fault ->
+      with_fault fault (fun () ->
+          check_b "5*7" "35" (B.mul (B.of_int 5) (B.of_int 7));
+          check_b "5^2" "25" (B.sqr (B.of_int 5))))
+    [ `Convolve_off_by_one; `Tree_fold_skew; `Stale_block; `Block_drop; `Stale_index;
+      `Ddnnf_cache_poison; `Kc_budget_leak ]
+
 let () =
   Alcotest.run "arith"
     [ ( "bigint",
@@ -658,6 +691,12 @@ let () =
           Alcotest.test_case "strings" `Quick test_rational_string;
         ] );
       ("rational properties", rational_props);
+      ( "fault registry",
+        [ Alcotest.test_case "karatsuba split corrupts mul and sqr" `Quick
+            test_karatsuba_split_fault;
+          Alcotest.test_case "other variants leave arithmetic exact" `Quick
+            test_other_faults_leave_arithmetic_exact;
+        ] );
       ( "combinat",
         [ Alcotest.test_case "factorial" `Quick test_factorial;
           Alcotest.test_case "binomial" `Quick test_binomial;

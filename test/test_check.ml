@@ -4,7 +4,7 @@
 
 module Q = Aggshap_arith.Rational
 module Database = Aggshap_relational.Database
-module Tables = Aggshap_core.Tables
+module Fault = Aggshap_arith.Fault
 module Cq = Aggshap_cq.Cq
 module Check = Aggshap_check
 module Trial = Aggshap_check.Trial
@@ -68,10 +68,10 @@ let test_reproducer_script_shape () =
    reproducer. par_jobs:1 keeps everything in this domain while the
    fault flag is set. *)
 let test_injected_fault_is_caught () =
-  assert (Tables.current_fault () = `None);
-  Tables.set_fault `Convolve_off_by_one;
+  assert (!Fault.current = `None);
+  Fault.current := `Convolve_off_by_one;
   Fun.protect
-    ~finally:(fun () -> Tables.set_fault `None)
+    ~finally:(fun () -> Fault.current := `None)
     (fun () ->
       let config =
         { Fuzz.seed = 42; trials = 100; max_endo = 6; par_jobs = 1; max_failures = 1; kc_always = false;
@@ -146,10 +146,10 @@ let test_lineage_corpus_replays_clean () =
    1-minimal reproducer; kc_always drives the lineage pipeline on every
    supported trial, inside the frontier included. *)
 let test_ddnnf_cache_poison_is_caught () =
-  assert (Tables.current_fault () = `None);
-  Tables.set_fault `Ddnnf_cache_poison;
+  assert (!Fault.current = `None);
+  Fault.current := `Ddnnf_cache_poison;
   Fun.protect
-    ~finally:(fun () -> Tables.set_fault `None)
+    ~finally:(fun () -> Fault.current := `None)
     (fun () ->
       let config =
         { Fuzz.seed = 42; trials = 300; max_endo = 6; par_jobs = 1; max_failures = 1;
@@ -186,10 +186,10 @@ let test_ddnnf_cache_poison_is_caught () =
    values. The kc-vs-naive differential check must catch it and shrink
    to a 1-minimal reproducer. *)
 let test_kc_budget_leak_is_caught () =
-  assert (Tables.current_fault () = `None);
-  Tables.set_fault `Kc_budget_leak;
+  assert (!Fault.current = `None);
+  Fault.current := `Kc_budget_leak;
   Fun.protect
-    ~finally:(fun () -> Tables.set_fault `None)
+    ~finally:(fun () -> Fault.current := `None)
     (fun () ->
       let config =
         { Fuzz.seed = 42; trials = 300; max_endo = 6; par_jobs = 1; max_failures = 1;
@@ -270,10 +270,10 @@ let test_utrial_generation_deterministic () =
    the directed hunt asserts a genuine value-level disagreement is also
    found and shrinks to a 1-minimal op script. *)
 let test_stale_block_is_caught () =
-  assert (Tables.current_fault () = `None);
-  Tables.set_fault `Stale_block;
+  assert (!Fault.current = `None);
+  Fault.current := `Stale_block;
   Fun.protect
-    ~finally:(fun () -> Tables.set_fault `None)
+    ~finally:(fun () -> Fault.current := `None)
     (fun () ->
       let config =
         { Fuzz.seed = 42; trials = 100; max_endo = 6; par_jobs = 1; max_failures = 1; kc_always = false;
@@ -293,10 +293,10 @@ let test_stale_block_is_caught () =
           (String.length (Utrial.to_script ushrunk) > 0))
 
 let test_stale_block_value_level () =
-  assert (Tables.current_fault () = `None);
-  Tables.set_fault `Stale_block;
+  assert (!Fault.current = `None);
+  Fault.current := `Stale_block;
   Fun.protect
-    ~finally:(fun () -> Tables.set_fault `None)
+    ~finally:(fun () -> Fault.current := `None)
     (fun () ->
       let found = ref None in
       let i = ref 0 in
@@ -334,10 +334,10 @@ let test_stale_block_value_level () =
    probe built an index; the update campaign's sessions do exactly
    that on every step. *)
 let test_stale_index_is_caught () =
-  assert (Tables.current_fault () = `None);
-  Tables.set_fault `Stale_index;
+  assert (!Fault.current = `None);
+  Fault.current := `Stale_index;
   Fun.protect
-    ~finally:(fun () -> Tables.set_fault `None)
+    ~finally:(fun () -> Fault.current := `None)
     (fun () ->
       let config =
         { Fuzz.seed = 42; trials = 300; max_endo = 6; par_jobs = 1; max_failures = 1; kc_always = false;
@@ -370,10 +370,10 @@ let test_stale_block_flag_is_isolated () =
    enough. Each must be caught by the same oracle and shrink to a
    still-failing reproducer. *)
 let test_kernel_fault_is_caught fault trials () =
-  assert (Tables.current_fault () = `None);
-  Tables.set_fault fault;
+  assert (!Fault.current = `None);
+  Fault.current := fault;
   Fun.protect
-    ~finally:(fun () -> Tables.set_fault `None)
+    ~finally:(fun () -> Fault.current := `None)
     (fun () ->
       let config =
         { Fuzz.seed = 42; trials; max_endo = 6; par_jobs = 1; max_failures = 1; kc_always = false;

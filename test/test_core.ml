@@ -8,6 +8,7 @@
 
 module B = Aggshap_arith.Bigint
 module Q = Aggshap_arith.Rational
+module Fault = Aggshap_arith.Fault
 module Cq = Aggshap_cq.Cq
 module Parser = Aggshap_cq.Parser
 module Hierarchy = Aggshap_cq.Hierarchy
@@ -143,6 +144,22 @@ let test_game_guard () =
   Alcotest.(check bool) "max_players guard" true
     (try ignore (Core.Game.make ~n:60 (fun _ -> Q.zero)); false
      with Invalid_argument _ -> true)
+
+(* [Naive.game_via (Agg_query.eval a)] is [Naive.game a]: same players
+   in the same order, same utility on every coalition. The oracle's
+   scan-evaluated reference game goes through the same constructor. *)
+let test_naive_game_via () =
+  let a = Agg_query.make Aggregate.Max (vid "R" 0) Catalog.q_xyy in
+  for seed = 0 to 4 do
+    let db = Generate.random_database ~seed ~config:small_config Catalog.q_xyy in
+    let players, game = Core.Naive.game a db in
+    let players', game' = Core.Naive.game_via (Agg_query.eval a) db in
+    Alcotest.(check bool) "same players" true (Array.for_all2 Fact.equal players players');
+    for mask = 0 to (1 lsl game.Core.Game.n) - 1 do
+      if not (Q.equal (game.Core.Game.utility mask) (game'.Core.Game.utility mask)) then
+        Alcotest.failf "seed %d mask %d: utilities differ" seed mask
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Boolean membership DP                                               *)
@@ -418,11 +435,11 @@ let test_zero_guard_counts () =
 
 let test_zero_guard_keeps_fault_hook () =
   let module T = Core.Tables in
-  assert (T.current_fault () = `None);
-  T.set_fault `Convolve_off_by_one;
+  assert (!Fault.current = `None);
+  Fault.current := `Convolve_off_by_one;
   let guarded, unit_side =
     Fun.protect
-      ~finally:(fun () -> T.set_fault `None)
+      ~finally:(fun () -> Fault.current := `None)
       (fun () ->
         ( T.convolve (Array.make 5 B.zero) (dense_ramp 5),
           T.convolve [| B.zero |] (dense_ramp 5) ))
@@ -471,6 +488,8 @@ let () =
           Alcotest.test_case "linearity" `Quick test_game_linearity;
           Alcotest.test_case "banzhaf" `Quick test_game_banzhaf;
           Alcotest.test_case "player guard" `Quick test_game_guard;
+          Alcotest.test_case "naive game via an explicit evaluator" `Quick
+            test_naive_game_via;
         ] );
       ( "boolean dp",
         [ Alcotest.test_case "counts small" `Quick test_boolean_counts_small;
@@ -621,144 +640,6 @@ let () =
            Alcotest.test_case "sum q_exists dense" `Slow
              (agree_with_naive ~seeds:5 ~config:dense "sum dense" Aggregate.Sum (vid "R" 0)
                 Catalog.q_exists sumcount);
-         ]) );
-      ( "d-trees (Remark 4.5)",
-        [ Alcotest.test_case "compiled counts match the Boolean DP" `Quick (fun () ->
-              List.iter
-                (fun (name, query, _) ->
-                  let q = Cq.make_boolean query in
-                  if Hierarchy.is_all_hierarchical q then
-                    for seed = 0 to 4 do
-                      let db = Generate.random_database ~seed ~config:small_config query in
-                      let tree = Core.Dtree.compile q db in
-                      if not (Core.Dtree.is_read_once tree) then
-                        Alcotest.failf "%s: compiled tree is not read-once" name;
-                      let from_tree = Core.Dtree.satisfying_counts tree db in
-                      let from_dp = Core.Boolean_dp.counts q db in
-                      Array.iteri
-                        (fun k c ->
-                          if not (B.equal c from_tree.(k)) then
-                            Alcotest.failf "%s seed %d: counts differ at k=%d" name seed k)
-                        from_dp
-                    done)
-                Catalog.figure1);
-          Alcotest.test_case "evaluation matches direct CQ evaluation" `Quick (fun () ->
-              let q = Cq.make_boolean Catalog.q_xyy in
-              for seed = 0 to 4 do
-                let db = Generate.random_database ~seed ~config:small_config Catalog.q_xyy in
-                let tree = Core.Dtree.compile q db in
-                let endo = Array.of_list (Database.endogenous db) in
-                let n = Array.length endo in
-                if n <= 10 then
-                  for mask = 0 to (1 lsl n) - 1 do
-                    let chosen f =
-                      let i = ref (-1) in
-                      Array.iteri (fun j g -> if Fact.equal f g then i := j) endo;
-                      !i >= 0 && mask land (1 lsl !i) <> 0
-                    in
-                    let sub =
-                      Database.filter
-                        (fun f p -> p = Database.Exogenous || chosen f)
-                        db
-                    in
-                    let direct = Aggshap_cq.Eval.is_satisfied q sub in
-                    let via_tree = Core.Dtree.eval tree chosen in
-                    if direct <> via_tree then
-                      Alcotest.failf "seed %d mask %d: tree=%b direct=%b" seed mask
-                        via_tree direct
-                  done
-              done);
-          Alcotest.test_case "shapley via the tree matches Boolean DP" `Quick (fun () ->
-              for seed = 0 to 4 do
-                let db = Generate.random_database ~seed ~config:small_config Catalog.q1_sq in
-                let q = Cq.make_boolean Catalog.q1_sq in
-                let tree = Core.Dtree.compile q db in
-                List.iter
-                  (fun f ->
-                    let a = Core.Dtree.shapley tree db f in
-                    let b = Core.Boolean_dp.shapley q db f in
-                    if not (Q.equal a b) then
-                      Alcotest.failf "seed %d: %s" seed (Fact.to_string f))
-                  (Database.endogenous db)
-              done);
-          Alcotest.test_case "rejects non-hierarchical queries" `Quick (fun () ->
-              let db = Generate.random_database ~seed:0 Catalog.q_nonhier in
-              Alcotest.(check bool) "raises" true
-                (try ignore (Core.Dtree.compile Catalog.q_nonhier db); false
-                 with Invalid_argument _ -> true));
-        ] );
-      ( "monotone monoid max (Sec 7.3)",
-        (* Non-localized τ = monoid over head variables; ground truth is
-           a hand-built game evaluating Max ∘ ⊗ directly. *)
-        (let monoid_game m vars q db =
-           let players = Array.of_list (Database.endogenous db) in
-           let exo = Database.filter (fun _ p -> p = Database.Exogenous) db in
-           let utility mask =
-             let sub = ref exo in
-             Array.iteri
-               (fun i f -> if mask land (1 lsl i) <> 0 then sub := Database.add f !sub)
-               players;
-             let answers = Aggshap_cq.Eval.answers q !sub in
-             List.fold_left
-               (fun acc t ->
-                 let v = Core.Minmax_monoid.tau m ~vars t q.Cq.head in
-                 match acc with None -> Some v | Some w -> Some (Q.max v w))
-               None answers
-             |> Option.value ~default:Q.zero
-           in
-           (players, Core.Game.make ~n:(Array.length players) utility)
-         in
-         let check_monoid name m vars query () =
-           for seed = 0 to 5 do
-             let db = Generate.random_database ~seed ~config:small_config query in
-             let n = Database.endo_size db in
-             if n >= 1 && n <= 10 then begin
-               let players, game = monoid_game m vars query db in
-               Array.iteri
-                 (fun i f ->
-                   let expected = Core.Game.shapley game i in
-                   let actual = Core.Minmax_monoid.shapley m ~vars query db f in
-                   if not (Q.equal expected actual) then
-                     Alcotest.failf "%s seed %d: %s game=%s dp=%s" name seed
-                       (Fact.to_string f) (Q.to_string expected) (Q.to_string actual))
-                 players
-             end
-           done
-         in
-         [ Alcotest.test_case "Max(x+y) on Qfull" `Quick
-             (check_monoid "plus qfull" Core.Minmax_monoid.plus [ "x"; "y" ]
-                Catalog.q_xyy_full);
-           Alcotest.test_case "Max(x+z) on disconnected Q3" `Quick
-             (check_monoid "plus q3" Core.Minmax_monoid.plus [ "x"; "z" ] Catalog.q3_sq);
-           Alcotest.test_case "Max(max(x,z)) on disconnected Q3" `Quick
-             (check_monoid "maxmax q3" Core.Minmax_monoid.max_monoid [ "x"; "z" ]
-                Catalog.q3_sq);
-           Alcotest.test_case "single tracked variable degenerates to Max" `Quick
-             (fun () ->
-               let a = Agg_query.make Aggregate.Max (vid "R" 0) Catalog.q_xyy in
-               for seed = 0 to 4 do
-                 let db = Generate.random_database ~seed ~config:small_config Catalog.q_xyy in
-                 if Database.endo_size db >= 1 then
-                   List.iter
-                     (fun f ->
-                       let via_monoid =
-                         Core.Minmax_monoid.shapley Core.Minmax_monoid.plus ~vars:[ "x" ]
-                           Catalog.q_xyy db f
-                       in
-                       let via_minmax = Core.Minmax.shapley a db f in
-                       if not (Q.equal via_monoid via_minmax) then
-                         Alcotest.failf "seed %d: %s" seed (Fact.to_string f))
-                     (Database.endogenous db)
-               done);
-           Alcotest.test_case "rejects existential tracked variables" `Quick (fun () ->
-               let db = Generate.random_database ~seed:0 Catalog.q_xyy in
-               Alcotest.(check bool) "raises" true
-                 (try
-                    ignore
-                      (Core.Minmax_monoid.sum_k Core.Minmax_monoid.plus ~vars:[ "y" ]
-                         Catalog.q_xyy db);
-                    false
-                  with Invalid_argument _ -> true));
          ]) );
       ( "localization (Prop 7.3)",
         [ Alcotest.test_case "avg with τ on T vs naive" `Quick (fun () ->

@@ -198,7 +198,7 @@ let test_relevant () =
   Alcotest.(check int) "irrelevant" 2 (Database.size rest)
 
 (* ------------------------------------------------------------------ *)
-(* Join planner: compilation, and equivalence with the legacy scan     *)
+(* Join planner: compilation, and equivalence with the scan evaluator *)
 (* ------------------------------------------------------------------ *)
 
 module Plan = Aggshap_cq.Plan
@@ -329,9 +329,36 @@ let test_partition_equivalence () =
             let name = Cq.to_string q ^ " by " ^ x in
             check_blocks name
               (Decompose.partition_scan q x db)
-              (Decompose.partition_indexed q x db))
+              (Decompose.partition q x db))
           (planner_dbs q))
     planner_queries
+
+(* The default entry points run the indexed stack and the references
+   do not: [Eval.answers] compiles one plan per call and probes
+   indexes, [Eval.Legacy.answers] compiles none and probes none, and
+   likewise [Decompose.partition] against [Decompose.partition_scan].
+   The query binds [y] in its second atom, so the plan probes. *)
+let test_default_stack_is_indexed () =
+  let q = Catalog.q_xyy in
+  let db = Generate.random_database ~seed:1 ~config:gen_config q in
+  let fresh () = Database.of_list (Database.fold (fun f p acc -> (f, p) :: acc) db []) in
+  let counters f =
+    Plan.reset_stats ();
+    Database.reset_stats ();
+    ignore (f (fresh ()));
+    ((Plan.stats ()).Plan.plan_compiles, (Database.stats ()).Database.index_probes)
+  in
+  let compiles, probes = counters (Eval.answers q) in
+  Alcotest.(check int) "answers: one plan" 1 compiles;
+  Alcotest.(check bool) "answers: probes indexes" true (probes > 0);
+  Alcotest.(check (pair int int)) "legacy answers: no plan, no probe" (0, 0)
+    (counters (Eval.Legacy.answers q));
+  let _, probes = counters (Decompose.partition q "x") in
+  Alcotest.(check bool) "partition: probes indexes" true (probes > 0);
+  Alcotest.(check (pair int int)) "partition_scan: no plan, no probe" (0, 0)
+    (counters (Decompose.partition_scan q "x"));
+  Plan.reset_stats ();
+  Database.reset_stats ()
 
 let () =
   Alcotest.run "cq"
@@ -363,6 +390,8 @@ let () =
         ] );
       ( "join planner",
         [ Alcotest.test_case "planned vs legacy evaluator" `Quick test_planned_vs_legacy;
+          Alcotest.test_case "default entry points run the indexed stack" `Quick
+            test_default_stack_is_indexed;
           Alcotest.test_case "adversarial atom orders" `Quick test_adversarial_orders;
           Alcotest.test_case "plan shapes" `Quick test_plan_shapes;
           Alcotest.test_case "partition equivalence" `Quick test_partition_equivalence;

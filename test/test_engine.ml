@@ -8,6 +8,7 @@
 module B = Aggshap_arith.Bigint
 module Q = Aggshap_arith.Rational
 module Tables = Aggshap_core.Tables
+module Fault = Aggshap_arith.Fault
 module Engine = Aggshap_core.Engine
 module Count_dp = Aggshap_core.Count_dp
 module Minmax = Aggshap_core.Minmax
@@ -267,6 +268,41 @@ let test_stats_counters () =
   Engine.reset_stats ();
   Alcotest.(check int) "reset clears nodes" 0 (Engine.stats ()).Engine.nodes
 
+(* The process-wide partition cache serves repeated solves of one
+   block, except while a fault is armed: then it is neither read nor
+   written, so a corrupted partition is never served later. The
+   [`Stale_block] fault does not touch the engine's values, so only the
+   probe counts move. The facts are private to this test, so no other
+   test has warmed the cache for them. *)
+let test_partition_cache_bypassed_under_fault () =
+  let db =
+    Database.of_facts
+      [ Fact.of_ints "R" [ 701; 702 ]; Fact.of_ints "R" [ 703; 702 ];
+        Fact.of_ints "R" [ 705; 706 ]; Fact.of_ints "S" [ 702 ]; Fact.of_ints "S" [ 706 ] ]
+  in
+  let probes () =
+    Database.reset_stats ();
+    let t = Count_dp.answer_counts Catalog.q_xyy_full db in
+    ((Database.stats ()).Database.index_probes, List.map (Count_dp.get t) [ 0; 1; 2; 3 ])
+  in
+  assert (!Fault.current = `None);
+  Fault.current := `Stale_block;
+  let (armed1, t1), (armed2, t2) =
+    Fun.protect ~finally:(fun () -> Fault.current := `None) (fun () ->
+        let first = probes () in
+        (first, probes ()))
+  in
+  let cold, t3 = probes () in
+  let warm, t4 = probes () in
+  Alcotest.(check bool) "partitions probe the indexes" true (armed1 > 0);
+  Alcotest.(check int) "armed: no cache read" armed1 armed2;
+  Alcotest.(check int) "armed: no cache write" armed1 cold;
+  Alcotest.(check bool) "cleared: the cache serves the partitions" true (warm < cold);
+  List.iter
+    (fun t -> Alcotest.(check bool) "same table" true (List.for_all2 counts_equal t1 t))
+    [ t2; t3; t4 ];
+  Database.reset_stats ()
+
 (* Saturated answer-count tables: every row below the cap is
    bit-identical to the uncapped table, and the cap row absorbs exactly
    the tail mass ([at_least]). This is the contract Dup's fast path
@@ -312,10 +348,10 @@ let directed_block_drop (name, alpha, query, tau, facts) =
       let trial = { Trial.seed = 0; query; db; alpha; tau } in
       Alcotest.(check bool) "clean without the fault" true
         (Oracle.run ~par_jobs:1 trial = None);
-      assert (Tables.current_fault () = `None);
-      Tables.set_fault `Block_drop;
+      assert (!Fault.current = `None);
+      Fault.current := `Block_drop;
       Fun.protect
-        ~finally:(fun () -> Tables.set_fault `None)
+        ~finally:(fun () -> Fault.current := `None)
         (fun () ->
           match Oracle.run ~par_jobs:1 trial with
           | None -> Alcotest.failf "%s: `Block_drop was not caught" name
@@ -369,6 +405,8 @@ let () =
             test_per_fact_jobs_bit_identical;
           Alcotest.test_case "per-node counters" `Quick test_stats_counters;
           Alcotest.test_case "capped answer counts" `Quick test_capped_answer_counts;
+          Alcotest.test_case "partition cache bypassed under a fault" `Quick
+            test_partition_cache_bypassed_under_fault;
         ] );
       ("block-drop fault per family", List.map directed_block_drop block_drop_families);
     ]

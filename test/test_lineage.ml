@@ -16,6 +16,15 @@ module Solver = Aggshap_core.Solver
 module Naive = Aggshap_core.Naive
 module Trial = Aggshap_check.Trial
 module Fuzz = Aggshap_check.Fuzz
+module Fault = Aggshap_arith.Fault
+module Fact = Aggshap_relational.Fact
+module Cq = Aggshap_cq.Cq
+module Hierarchy = Aggshap_cq.Hierarchy
+module Aggregate = Aggshap_agg.Aggregate
+module Value_fn = Aggshap_agg.Value_fn
+module Boolean_dp = Aggshap_core.Boolean_dp
+module Catalog = Aggshap_workload.Catalog
+module Generate = Aggshap_workload.Generate
 
 let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
@@ -336,9 +345,143 @@ let lineage_pipeline_props =
           direct dispatched);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Membership games (Remark 4.5): KC against the Boolean DP            *)
+(* ------------------------------------------------------------------ *)
+
+let small_config = { Generate.tuples_per_relation = 3; domain = 3; exo_fraction = 0.3 }
+
+(* Count over a Boolean query is 1 when the query holds and 0
+   otherwise: the membership game the Boolean DP solves. *)
+let membership q =
+  let rel = (List.hd q.Cq.body).Cq.rel in
+  Agg_query.make Aggregate.Count (Value_fn.const ~rel Q.one) q
+
+(* The lineage of the single (empty) answer, [False] when the query
+   does not hold even on the whole database. *)
+let boolean_lineage (x : L.extraction) =
+  match x.L.answers with
+  | [] -> F.fls x.L.store
+  | [ (_, phi) ] -> phi
+  | _ -> Alcotest.fail "a Boolean query has at most one answer"
+
+let hierarchical_boolean_catalog () =
+  List.filter_map
+    (fun (name, query, _) ->
+      let q = Cq.make_boolean query in
+      if Hierarchy.is_all_hierarchical q then Some (name, query, q) else None)
+    Catalog.figure1
+
+let test_membership_shapley () =
+  List.iter
+    (fun (name, query, q) ->
+      for seed = 0 to 4 do
+        let db = Generate.random_database ~seed ~config:small_config query in
+        List.iter
+          (fun (f, v) ->
+            let expected = Boolean_dp.shapley q db f in
+            if not (Q.equal v expected) then
+              Alcotest.failf "%s seed %d: %s kc=%s dp=%s" name seed (Fact.to_string f)
+                (Q.to_string v) (Q.to_string expected))
+          (L.shapley_all (membership q) db)
+      done)
+    (hierarchical_boolean_catalog ())
+
+let test_membership_counts () =
+  List.iter
+    (fun (name, query, q) ->
+      for seed = 0 to 4 do
+        let db = Generate.random_database ~seed ~config:small_config query in
+        let x = L.extract (membership q) db in
+        let mgr = D.create x.L.store in
+        let n = Array.length x.L.players in
+        let from_kc = D.model_counts mgr ~n (D.compile mgr (boolean_lineage x)) in
+        let from_dp = Boolean_dp.counts q db in
+        Array.iteri
+          (fun k c ->
+            if not (B.equal c from_kc.(k)) then
+              Alcotest.failf "%s seed %d: counts differ at k=%d" name seed k)
+          from_dp
+      done)
+    (hierarchical_boolean_catalog ())
+
+let test_lineage_matches_evaluation () =
+  let q = Cq.make_boolean Catalog.q_xyy in
+  for seed = 0 to 4 do
+    let db = Generate.random_database ~seed ~config:small_config Catalog.q_xyy in
+    let x = L.extract (membership q) db in
+    let phi = boolean_lineage x in
+    let n = Array.length x.L.players in
+    let exo = Database.filter (fun _ p -> p = Database.Exogenous) db in
+    if n <= 10 then
+      for mask = 0 to (1 lsl n) - 1 do
+        let sub = ref exo in
+        Array.iteri
+          (fun i f -> if mem mask i then sub := Database.add f !sub)
+          x.L.players;
+        let direct = Aggshap_cq.Eval.is_satisfied q !sub in
+        if F.eval phi (mem mask) <> direct then
+          Alcotest.failf "seed %d mask %d: lineage=%b direct=%b" seed mask (not direct)
+            direct
+      done
+  done
+
+(* ------------------------------------------------------------------ *)
+(* The compiler's fault hooks                                          *)
+(* ------------------------------------------------------------------ *)
+
+let with_fault fault f =
+  assert (!Fault.current = `None);
+  Fault.current := fault;
+  Fun.protect ~finally:(fun () -> Fault.current := `None) f
+
+let disjoint_pairs = FOr [ FAnd [ FVar 0; FVar 1 ]; FAnd [ FVar 2; FVar 3 ]; FAnd [ FVar 4; FVar 5 ] ]
+
+let counts_of ?cache ?budget n fd =
+  let store = F.create_store () in
+  let mgr = D.create ?cache ?budget store in
+  Array.map B.to_int_exn (D.model_counts mgr ~n (D.compile mgr (build store fd)))
+
+(* [`Ddnnf_cache_poison] corrupts what the formula-keyed cache serves,
+   so only the cached compile goes wrong. *)
+let test_cache_poison_fault () =
+  let expected = brute_counts 6 disjoint_pairs in
+  with_fault `Ddnnf_cache_poison (fun () ->
+      Alcotest.(check bool) "cached compile is wrong" false
+        (counts_of ~cache:true 6 disjoint_pairs = expected);
+      Alcotest.(check (array int)) "uncached compile is exact" expected
+        (counts_of ~cache:false 6 disjoint_pairs));
+  Alcotest.(check (array int)) "cleared: cached compile exact" expected
+    (counts_of ~cache:true 6 disjoint_pairs)
+
+(* [`Kc_budget_leak] turns the budget abort into a silent truncation
+   that under-counts models. *)
+let test_budget_leak_fault () =
+  Alcotest.check_raises "clean: the budget aborts" D.Budget_exceeded (fun () ->
+      ignore (counts_of ~budget:3 6 disjoint_pairs));
+  let total = Array.fold_left ( + ) 0 in
+  with_fault `Kc_budget_leak (fun () ->
+      let leaked = counts_of ~budget:3 6 disjoint_pairs in
+      Alcotest.(check bool) "leaked compile under-counts" true
+        (total leaked < total (brute_counts 6 disjoint_pairs)))
+
 let () =
   Alcotest.run "lineage"
     [ ("formula", formula_props);
       ("ddnnf", ddnnf_props);
       ("pipeline", lineage_pipeline_props);
+      ( "membership (Remark 4.5)",
+        [ Alcotest.test_case "count over the Boolean query is the Boolean DP" `Quick
+            test_membership_shapley;
+          Alcotest.test_case "model counts are the Boolean DP counts" `Quick
+            test_membership_counts;
+          Alcotest.test_case "lineage evaluates like the query" `Quick
+            test_lineage_matches_evaluation;
+        ] );
+      ( "fault hooks",
+        [ Alcotest.test_case "cache poison corrupts cached compiles only" `Quick
+            test_cache_poison_fault;
+          Alcotest.test_case "budget leak truncates instead of aborting" `Quick
+            test_budget_leak_fault;
+        ] );
     ]

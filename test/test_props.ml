@@ -18,7 +18,6 @@ module Value_fn = Aggshap_agg.Value_fn
 module Agg_query = Aggshap_agg.Agg_query
 module Core = Aggshap_core
 module Catalog = Aggshap_workload.Catalog
-module Plan = Aggshap_cq.Plan
 
 let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
@@ -293,41 +292,11 @@ let invariant_case (name, alpha, query, tau) =
 
 let invariant_tests = List.map invariant_case invariant_families
 
-(* The same corpus replay with the legacy evaluation stack forced on:
-   the backtracking scan join instead of compiled plans, the rescanning
-   partition instead of the index walk, no partition cache, and the
-   uncapped answer-count merge. It pins the entire pre-index leaf
-   construction surface against the naive oracle — the mirror image of
-   the default replay above, which exercises the indexed stack. *)
-let legacy_forced_invariant_case (name, alpha, query, tau) =
-  Alcotest.test_case (name ^ " [legacy eval]") `Slow (fun () ->
-      Plan.enabled := false;
-      Fun.protect
-        ~finally:(fun () -> Plan.enabled := true)
-        (fun () ->
-          let seeds = List.filteri (fun i _ -> i < 10) (Lazy.force corpus_seeds) in
-          List.iter
-            (fun seed ->
-              let db = Generate.random_database ~seed ~config:invariant_db_config query in
-              let trial = { CheckTrial.seed; query; db; alpha; tau } in
-              match CheckOracle.run trial with
-              | None -> ()
-              | Some f ->
-                Alcotest.failf "%s [legacy eval], corpus seed %d: %s" name seed
-                  (CheckOracle.failure_to_string f))
-            seeds))
-
-let legacy_forced_invariant_tests =
-  List.map legacy_forced_invariant_case
-    (List.filteri (fun i _ -> i mod 3 = 1) invariant_families)
-
 let () =
   Alcotest.run "props"
     [ ("bag properties", bag_props);
       ("table properties", tables_props);
       ("frontier DP invariants (fuzz corpus)", invariant_tests);
-      ( "frontier DP invariants, legacy evaluator forced (fuzz corpus)",
-        legacy_forced_invariant_tests );
       ( "solver corner cases",
         [ Alcotest.test_case "empty database" `Quick test_empty_database;
           Alcotest.test_case "single fact" `Quick test_single_fact;

@@ -3,6 +3,7 @@
 module Value = Aggshap_relational.Value
 module Fact = Aggshap_relational.Fact
 module Database = Aggshap_relational.Database
+module Fault = Aggshap_arith.Fault
 
 let f_r12 = Fact.of_ints "R" [ 1; 2 ]
 let f_r13 = Fact.of_ints "R" [ 1; 3 ]
@@ -166,12 +167,12 @@ let test_index_counters () =
    verbatim. The directed reproducer pins the observable symptom — the
    segments are correct while a probe still returns the removed fact. *)
 let test_stale_index_fault () =
-  assert (!Database.fault = `None);
+  assert (!Fault.current = `None);
   let db = indexed_db () in
   ignore (Database.probe db ~rel:"R" ~pos:0 (Value.Int 1));
-  Database.fault := `Stale_index;
+  Fault.current := `Stale_index;
   Fun.protect
-    ~finally:(fun () -> Database.fault := `None)
+    ~finally:(fun () -> Fault.current := `None)
     (fun () ->
       let db2 = Database.remove f_r13 db in
       Alcotest.(check bool) "segments are correct" false (Database.mem f_r13 db2);

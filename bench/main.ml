@@ -1030,10 +1030,7 @@ let a1 () =
     "kc time" "agree";
   let q = Cq.make_boolean Catalog.q_xyy in
   let a = Agg_query.make Aggregate.Count (Value_fn.const ~rel:"R" Q.one) q in
-  (* The Shannon compiler does not split independent components, so the
-     circuit grows super-linearly (48,126 nodes, 6 s at 100 rows): the
-     full sweep stops there. *)
-  let sizes = if quick then [ 20; 60 ] else [ 20; 60; 100 ] in
+  let sizes = [ 20; 60; 100; 200 ] in
   List.iter
     (fun rows ->
       let db = xyy_db rows in

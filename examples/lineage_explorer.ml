@@ -58,9 +58,8 @@ let () =
 
   let mgr = Ddnnf.create x.Lineage.store in
   let circuit = Ddnnf.compile mgr lineage in
-  Printf.printf "\nd-DNNF: %d decision nodes over %d of %d facts\n\n" (Ddnnf.size circuit)
-    (Formula.ISet.cardinal (Ddnnf.node_vars circuit))
-    (Array.length players);
+  Printf.printf "\nd-DNNF: %d nodes over %d of %d facts\n\n" (Ddnnf.node_count mgr)
+    (Ddnnf.size circuit) (Array.length players);
 
   (* The fact R(4,99) joins with nothing: it does not even appear in the
      lineage, and its Shapley value is 0 (null player). *)

@@ -30,9 +30,10 @@
       old contents, so the planned evaluator and the indexed partition
       go wrong wherever a stale index is probed.
     - [`Ddnnf_cache_poison] makes the knowledge-compilation tier's
-      Shannon-expansion compiler ([Ddnnf]) poison its formula-keyed
-      cache: the entry stored for a non-trivial decision node swaps the
-      node's children, so every compiled circuit that hits the poisoned
+      compiler ([Ddnnf]) poison its formula-keyed cache: the entry
+      stored for a non-trivial decision node swaps the node's children,
+      and the entry stored for a split node flips its connective
+      (AND ↔ OR), so every compiled circuit that hits the poisoned
       cache is semantically wrong. With the cache disabled there is
       nothing to poison.
     - [`Kc_budget_leak] breaks the d-DNNF node-budget abort path: past

@@ -31,10 +31,10 @@
       value zero and is never encoded.
 
    3. Counting. Each distinct event formula (coefficients of shared
-      formulas are merged first) compiles to a d-DNNF once; the value
-      of fact p in event φ is the weighted-model-counting sum of
-      {!Ddnnf.shapley_diff} — facts outside vars(φ) are null players of
-      the event and cost nothing. *)
+      formulas are merged first) compiles to a d-DNNF once, and one
+      all-player pass over it ({!Ddnnf.shapley_all}) yields the value
+      of every fact in the event — facts outside vars(φ) are null
+      players of the event and cost nothing. *)
 
 module Q = Aggshap_arith.Rational
 module Cq = Aggshap_cq.Cq
@@ -226,10 +226,11 @@ let check_supported alpha =
       (Printf.sprintf "Lineage: %s is outside the knowledge-compilation tier"
          (Aggregate.to_string alpha))
 
-(* Shared solve core: compile each merged event once, then fill the
-   requested player columns. [budget] caps the total d-DNNF node count
-   across all events; Ddnnf.Budget_exceeded escapes to the caller. *)
-let solve ?(cache = true) ?budget (a : Agg_query.t) db select =
+(* Shared solve core: compile each merged event once and fold its
+   one all-player counting pass into the value vector. [budget] caps the
+   total d-DNNF node count across all events; only compilation
+   allocates, so Ddnnf.Budget_exceeded escapes from a compile. *)
+let solve ?(cache = true) ?budget (a : Agg_query.t) db =
   check_supported a.Agg_query.alpha;
   let ext = extract a db in
   let n = Array.length ext.players in
@@ -239,18 +240,15 @@ let solve ?(cache = true) ?budget (a : Agg_query.t) db select =
     let mgr = Ddnnf.create ~cache ?budget ext.store in
     List.iter
       (fun (c, fml) ->
-        let circuit = Ddnnf.compile mgr fml in
-        Formula.ISet.iter
-          (fun p ->
-            if select p then
-              acc.(p) <- Q.add acc.(p) (Q.mul c (Ddnnf.shapley_diff mgr ~n circuit p)))
-          (Ddnnf.node_vars circuit))
+        List.iter
+          (fun (p, v) -> acc.(p) <- Q.add acc.(p) (Q.mul c v))
+          (Ddnnf.shapley_all mgr ~n (Ddnnf.compile mgr fml)))
       evs
   end;
   (ext.players, acc)
 
 let shapley_all ?cache ?budget (a : Agg_query.t) db =
-  let players, acc = solve ?cache ?budget a db (fun _ -> true) in
+  let players, acc = solve ?cache ?budget a db in
   Array.to_list (Array.mapi (fun i f -> (f, acc.(i))) players)
 
 let shapley ?cache ?budget (a : Agg_query.t) db f =
@@ -263,6 +261,5 @@ let shapley ?cache ?budget (a : Agg_query.t) db f =
       in
       idx 0 (Database.endogenous db)
     in
-    let _, acc = solve ?cache ?budget a db (fun p -> p = target) in
-    acc.(target)
+    (snd (solve ?cache ?budget a db)).(target)
   | _ -> invalid_arg ("Lineage.shapley: fact is not endogenous: " ^ Fact.to_string f)

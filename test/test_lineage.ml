@@ -1,11 +1,15 @@
 (* Property tests (qcheck) for the knowledge-compilation tier: the
-   Shannon d-DNNF compiler against brute-force model counting (≤16
-   variables), circuit-level Shapley against the permutation definition,
-   structural d-DNNF invariants (decomposability, determinism, support),
-   the formula-keyed cache as a pure optimization, and the whole
-   lineage pipeline against naive enumeration on random trials. *)
+   d-DNNF compiler (component splitting + Shannon expansion) against
+   brute-force model counting (≤16 variables), circuit-level Shapley
+   against the permutation definition, the one-pass all-player count
+   against per-fact conditioning, structural d-DNNF invariants
+   (decomposability, determinism, support, split nodes included), the
+   formula-keyed cache as a pure optimization, the node budget as a cap
+   on compiled nodes, and the whole lineage pipeline against naive
+   enumeration on random trials. *)
 
 module B = Aggshap_arith.Bigint
+module Combinat = Aggshap_arith.Combinat
 module Q = Aggshap_arith.Rational
 module F = Aggshap_lineage.Formula
 module D = Aggshap_lineage.Ddnnf
@@ -102,27 +106,51 @@ let brute_counts n fd =
   done;
   counts
 
-(* The permutation definition of the Shapley value of player [p] in the
-   Boolean game u(S) = 1[fd(S)], as a subset sum. *)
-let brute_shapley n fd p =
+(* The permutation definition of the Shapley value of every player
+   p < n in the Boolean game u(S) = 1[fd(S)], as subset sums over one
+   truth table. *)
+let brute_shapley n fd =
+  let table = Array.init (1 lsl n) (fun mask -> eval_fd (mem mask) fd) in
   let fact k =
     let r = ref 1 in
     for i = 2 to k do r := !r * i done;
     !r
   in
-  let total = ref Q.zero in
-  for mask = 0 to (1 lsl n) - 1 do
-    if not (mem mask p) then begin
-      let u0 = eval_fd (mem mask) fd in
-      let u1 = eval_fd (mem (mask lor (1 lsl p))) fd in
-      if u1 <> u0 then begin
-        let s = popcount mask in
-        let w = Q.of_ints (fact s * fact (n - 1 - s)) (fact n) in
-        total := (if u1 then Q.add !total w else Q.sub !total w)
-      end
-    end
-  done;
-  !total
+  List.init n (fun p ->
+      let total = ref Q.zero in
+      for mask = 0 to (1 lsl n) - 1 do
+        let u1 = table.(mask lor (1 lsl p)) in
+        if (not (mem mask p)) && table.(mask) <> u1 then begin
+          let s = popcount mask in
+          let w = Q.of_ints (fact s * fact (n - 1 - s)) (fact n) in
+          total := if u1 then Q.add !total w else Q.sub !total w
+        end
+      done;
+      !total)
+
+(* AND/OR of 2–4 random sub-formulas, each over its own block of 1–4
+   variables (≤16 in all): the top connective always has at least two
+   variable-disjoint parts, so the compiler emits a split node whenever
+   two parts keep their variables. Returns (players, parts, formula). *)
+let arb_split =
+  let open QCheck.Gen in
+  let rec shift off = function
+    | FVar v -> FVar (v + off)
+    | FAnd fs -> FAnd (List.map (shift off) fs)
+    | FOr fs -> FOr (List.map (shift off) fs)
+    | (FTrue | FFalse) as c -> c
+  in
+  let gen =
+    int_range 2 4 >>= fun k ->
+    list_repeat k (int_range 1 4) >>= fun widths ->
+    let offsets = List.rev (snd (List.fold_left (fun (o, acc) w -> (o + w, o :: acc)) (0, []) widths)) in
+    flatten_l (List.map2 (fun off w -> map (shift off) (gen_fd w)) offsets widths)
+    >>= fun parts ->
+    map
+      (fun conj -> (List.fold_left ( + ) 0 widths, parts, if conj then FAnd parts else FOr parts))
+      bool
+  in
+  QCheck.make ~print:(fun (n, _, fd) -> Printf.sprintf "n=%d %s" n (fd_to_string fd)) gen
 
 (* ------------------------------------------------------------------ *)
 (* Formula layer                                                       *)
@@ -183,22 +211,57 @@ let formula_props =
 
 (* Structural d-DNNF invariants, checked over the whole DAG: a decision
    variable occurs in neither child (decomposability — determinism is
-   by the ⟨v,hi,lo⟩ shape), and the recorded support is exactly the
-   children's supports plus the decision variable. *)
+   by the ⟨v,hi,lo⟩ shape), a split node has at least two pairwise
+   variable-disjoint, non-constant children, and every recorded support
+   is exactly the children's supports (plus the decision variable). *)
 let rec circuit_wellformed seen node =
   match node with
   | D.True | D.False -> true
+  | D.Decision { id; _ } | D.Split { id; _ } when Hashtbl.mem seen id -> true
   | D.Decision { id; var; hi; lo; _ } ->
-    if Hashtbl.mem seen id then true
-    else begin
-      Hashtbl.add seen id ();
-      (not (F.ISet.mem var (D.node_vars hi)))
-      && (not (F.ISet.mem var (D.node_vars lo)))
-      && F.ISet.equal (D.node_vars node)
-           (F.ISet.add var (F.ISet.union (D.node_vars hi) (D.node_vars lo)))
-      && circuit_wellformed seen hi
-      && circuit_wellformed seen lo
-    end
+    Hashtbl.add seen id ();
+    (not (F.ISet.mem var (D.node_vars hi)))
+    && (not (F.ISet.mem var (D.node_vars lo)))
+    && F.ISet.equal (D.node_vars node)
+         (F.ISet.add var (F.ISet.union (D.node_vars hi) (D.node_vars lo)))
+    && circuit_wellformed seen hi
+    && circuit_wellformed seen lo
+  | D.Split { id; children; vars; _ } ->
+    Hashtbl.add seen id ();
+    let rec disjoint = function
+      | [] -> true
+      | c :: rest ->
+        List.for_all (fun c' -> F.ISet.disjoint (D.node_vars c) (D.node_vars c')) rest
+        && disjoint rest
+    in
+    List.length children >= 2
+    && List.for_all (fun c -> not (F.ISet.is_empty (D.node_vars c))) children
+    && disjoint children
+    && F.ISet.equal vars
+         (List.fold_left (fun s c -> F.ISet.union s (D.node_vars c)) F.ISet.empty children)
+    && List.for_all (circuit_wellformed seen) children
+
+(* The per-fact reference the one-pass count replaced: condition the
+   circuit on [p] and count both cofactors over the other n−1 players. *)
+let conditioned_shapley mgr ~n c p =
+  let c1 = D.model_counts mgr ~n:(n - 1) (D.condition mgr c p true) in
+  let c0 = D.model_counts mgr ~n:(n - 1) (D.condition mgr c p false) in
+  let w = Combinat.shapley_weights n in
+  let num = ref B.zero in
+  for k = 0 to n - 1 do
+    num := B.add !num (B.mul w.(k) (B.sub c1.(k) c0.(k)))
+  done;
+  Q.make !num (Combinat.factorial n)
+
+(* One all-player pass lists exactly the circuit's variables, each with
+   its conditioned count difference. *)
+let one_pass_matches_conditioning n fd =
+  let store = F.create_store () in
+  let mgr = D.create store in
+  let c = D.compile mgr (build store fd) in
+  let all = D.shapley_all mgr ~n c in
+  List.map fst all = F.ISet.elements (D.node_vars c)
+  && List.for_all (fun (p, v) -> Q.equal v (conditioned_shapley mgr ~n c p)) all
 
 let ddnnf_props =
   [ prop "model counts match brute force (≤10 vars)" 300 (arb_inst 1 10)
@@ -256,12 +319,9 @@ let ddnnf_props =
         let store = F.create_store () in
         let mgr = D.create store in
         let c = D.compile mgr (build store fd) in
-        let ok = ref true in
-        for p = 0 to n - 1 do
-          if not (Q.equal (D.shapley_diff mgr ~n c p) (brute_shapley n fd p)) then
-            ok := false
-        done;
-        !ok);
+        List.for_all2 Q.equal
+          (List.init n (fun p -> D.shapley_diff mgr ~n c p))
+          (brute_shapley n fd));
     prop "circuit Shapley satisfies efficiency" 200 (arb_inst 1 8)
       (fun (n, fd) ->
         let store = F.create_store () in
@@ -289,6 +349,38 @@ let ddnnf_props =
         && List.for_all
              (fun p -> Q.equal (D.shapley_diff cached ~n c1 p) (D.shapley_diff uncached ~n c2 p))
              (List.init n Fun.id));
+    prop "shapley_all equals the conditioned count difference" 200 (arb_inst 1 10)
+      (fun (n, fd) -> one_pass_matches_conditioning n fd);
+  ]
+
+(* Unions of variable-disjoint sub-formulas: the split node against the
+   same brute-force references. *)
+let split_props =
+  [ prop "split unions: model counts match brute force (≤16 vars)" 100 arb_split
+      (fun (n, _, fd) ->
+        let store = F.create_store () in
+        let mgr = D.create store in
+        let counts = D.model_counts mgr ~n (D.compile mgr (build store fd)) in
+        Array.for_all2 (fun b e -> B.equal b (B.of_int e)) counts (brute_counts n fd));
+    prop "split unions: Shapley matches the permutation definition" 60 arb_split
+      (fun (n, _, fd) ->
+        let store = F.create_store () in
+        let mgr = D.create store in
+        let c = D.compile mgr (build store fd) in
+        List.for_all2 Q.equal
+          (List.init n (fun p -> D.shapley_diff mgr ~n c p))
+          (brute_shapley n fd));
+    prop "split unions: well-formed, split at the top" 200 arb_split
+      (fun (_, parts, fd) ->
+        let store = F.create_store () in
+        let mgr = D.create store in
+        let c = D.compile mgr (build store fd) in
+        let live = List.filter (fun p -> F.vars (build store p) <> []) parts in
+        let constant_free = List.length live = List.length parts in
+        circuit_wellformed (Hashtbl.create 16) c
+        && ((not constant_free) || match c with D.Split _ -> true | _ -> false));
+    prop "split unions: shapley_all equals the conditioned count difference" 100
+      arb_split (fun (n, _, fd) -> one_pass_matches_conditioning n fd);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -465,10 +557,77 @@ let test_budget_leak_fault () =
       Alcotest.(check bool) "leaked compile under-counts" true
         (total leaked < total (brute_counts 6 disjoint_pairs)))
 
+(* [`Ddnnf_cache_poison] reaches split nodes too: the OR of three
+   disjoint pairs compiles to an OR split, and the poisoned cache
+   answers with its connective flipped. *)
+let test_cache_poison_flips_splits () =
+  let root () =
+    let store = F.create_store () in
+    let mgr = D.create store in
+    D.compile mgr (build store disjoint_pairs)
+  in
+  let op = function D.Split { op; _ } -> Some op | _ -> None in
+  Alcotest.(check bool) "clean root is an OR split" true (op (root ()) = Some D.Disj);
+  with_fault `Ddnnf_cache_poison (fun () ->
+      Alcotest.(check bool) "poisoned root is an AND split" true
+        (op (root ()) = Some D.Conj))
+
+(* ------------------------------------------------------------------ *)
+(* The node budget counts compiled nodes only                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The nodes compiling [a]'s merged events allocate (shared formulas
+   merged, zero-coefficient events dropped), counted on a manager that
+   never counts. *)
+let compiled_size (a : Agg_query.t) db =
+  let x = L.extract a db in
+  let mgr = D.create x.L.store in
+  let coeffs = Hashtbl.create 16 in
+  List.iter
+    (fun (c, phi) ->
+      let c0 = Option.fold ~none:Q.zero ~some:fst (Hashtbl.find_opt coeffs (F.id phi)) in
+      Hashtbl.replace coeffs (F.id phi) (Q.add c0 c, phi))
+    (L.events a.Agg_query.alpha x.L.store x.L.answers);
+  Hashtbl.iter (fun _ (c, phi) -> if not (Q.is_zero c) then ignore (D.compile mgr phi)) coeffs;
+  D.node_count mgr
+
+(* Counting allocates no node: a solve creates exactly the compiled
+   nodes, a budget of that size lets it through, and one below it
+   aborts a compile. Over the trial generator's supported instances. *)
+let test_budget_is_the_compiled_size () =
+  let checked = ref 0 in
+  for seed = 0 to 59 do
+    let t = Trial.generate ~max_endo:8 ~seed () in
+    let a = Trial.agg_query t in
+    if L.supports a.Agg_query.alpha && Database.endo_size t.Trial.db > 0 then begin
+      let nodes = compiled_size a t.Trial.db in
+      D.reset_stats ();
+      let unbounded = L.shapley_all a t.Trial.db in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: the solve allocates only compiled nodes" seed)
+        nodes (D.stats ()).D.nodes;
+      if nodes > 0 then begin
+        incr checked;
+        let bounded =
+          try L.shapley_all ~budget:nodes a t.Trial.db
+          with D.Budget_exceeded ->
+            Alcotest.failf "seed %d: budget %d (the compiled size) aborted" seed nodes
+        in
+        if not (List.for_all2 (fun (_, v1) (_, v2) -> Q.equal v1 v2) unbounded bounded)
+        then Alcotest.failf "seed %d: bounded solve changed a value" seed;
+        match L.shapley_all ~budget:(nodes - 1) a t.Trial.db with
+        | _ -> Alcotest.failf "seed %d: budget %d ran past the compiled size" seed (nodes - 1)
+        | exception D.Budget_exceeded -> ()
+      end
+    end
+  done;
+  Alcotest.(check bool) "some instances compiled" true (!checked >= 10)
+
 let () =
   Alcotest.run "lineage"
     [ ("formula", formula_props);
       ("ddnnf", ddnnf_props);
+      ("ddnnf split nodes", split_props);
       ("pipeline", lineage_pipeline_props);
       ( "membership (Remark 4.5)",
         [ Alcotest.test_case "count over the Boolean query is the Boolean DP" `Quick
@@ -481,7 +640,13 @@ let () =
       ( "fault hooks",
         [ Alcotest.test_case "cache poison corrupts cached compiles only" `Quick
             test_cache_poison_fault;
+          Alcotest.test_case "cache poison flips a cached split's connective" `Quick
+            test_cache_poison_flips_splits;
           Alcotest.test_case "budget leak truncates instead of aborting" `Quick
             test_budget_leak_fault;
+        ] );
+      ( "node budget",
+        [ Alcotest.test_case "a budget of the compiled size completes" `Quick
+            test_budget_is_the_compiled_size;
         ] );
     ]
